@@ -55,14 +55,30 @@ def _parse_grid(text: str):
     return np.array([float(x) for x in text.split(",")])
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag >= low; argparse names the flag in
+    its error and exits 2 before any command runs."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    return parse
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--r", type=int, default=2, help="cyclic order")
     p.add_argument("--alpha", type=str, default=None,
                    help="comma list alpha_0,...,alpha_{r-1}")
     p.add_argument("--a", type=float, default=None, help="inner-product weight exponent")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized draws")
-    p.add_argument("--nodes", type=int, default=48, help="quadrature nodes per dimension")
-    p.add_argument("--degree", type=int, default=60, help="series truncation degree")
+    p.add_argument("--nodes", type=_int_at_least(1), default=48,
+                   help="quadrature nodes per dimension")
+    p.add_argument("--degree", type=_int_at_least(0), default=60,
+                   help="series truncation degree")
     p.add_argument("--tolerance-scale", type=float, default=1.0,
                    help="multiplies every gated tolerance")
     p.add_argument("--json", action="store_true", help="force JSON output")

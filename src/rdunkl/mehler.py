@@ -64,13 +64,14 @@ def _tensor_nodes(weight: MehlerWeight, n_nodes: int):
     rules = [gauss_jacobi_rule(p, q, n_nodes) for (p, q) in weight.jacobi_params]
     if not rules:
         return np.array([1.0]), np.array([1.0])
-    grids = np.meshgrid(*[rl.nodes for rl in rules], indexing="ij")
-    wgrids = np.meshgrid(*[rl.weights for rl in rules], indexing="ij")
-    u_prod = np.ones_like(grids[0])
-    w_prod = np.ones_like(wgrids[0])
-    for g, w in zip(grids, wgrids):
-        u_prod = u_prod * g ** (1.0 / r)
-        w_prod = w_prod * w / r
+    # broadcasting the 1-d factors keeps only the product grids in memory
+    dims = len(rules)
+    u_prod = w_prod = np.ones((1,) * dims)
+    for k, rl in enumerate(rules):
+        shape = [1] * dims
+        shape[k] = -1
+        u_prod = u_prod * rl.nodes.reshape(shape) ** (1.0 / r)
+        w_prod = w_prod * rl.weights.reshape(shape) / r
     return u_prod.ravel(), w_prod.ravel()
 
 

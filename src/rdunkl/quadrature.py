@@ -2,11 +2,16 @@
 
 Every singular endpoint in the package is mapped onto a Jacobi weight
 (1 - v)^p v^q before quadrature, which keeps the rules spectrally accurate.
+
+Reference rules (Jacobi on [0, 1], Legendre on [-1, 1]) are pure functions
+of their parameters, so each is built once per process and shared: their
+arrays are read-only, and callers copy before editing in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -30,19 +35,42 @@ def gauss_jacobi_rule(p: float, q: float, n: int) -> QuadratureRule:
         raise ParameterError(f"Jacobi weight needs p, q > -1, got ({p}, {q})")
     if n < 1:
         raise ParameterError("need at least one node")
-    x, w = roots_jacobi(n, p, q)
-    nodes = 0.5 * (x + 1.0)
-    weights = w / 2.0 ** (p + q + 1.0)
+    nodes, weights = _jacobi_reference(float(p), float(q), int(n))
     return QuadratureRule(nodes, weights, f"gauss_jacobi({p},{q})")
 
 
 def gauss_legendre_rule(n: int, a: float = 0.0, b: float = 1.0) -> QuadratureRule:
+    """n-point Gauss-Legendre rule on [a, b].
+
+    a and b may be arrays of shape (k, 1); the result then holds k rules,
+    one per row, each mapped exactly as the scalar call would map it.
+    """
     if n < 1:
         raise ParameterError("need at least one node")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_reference(int(n))
     nodes = 0.5 * (b - a) * (x + 1.0) + a
     weights = 0.5 * (b - a) * w
     return QuadratureRule(nodes, weights, "gauss_legendre")
+
+
+_RULE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _jacobi_reference(p: float, q: float, n: int):
+    x, w = roots_jacobi(n, p, q)
+    return _frozen(0.5 * (x + 1.0)), _frozen(w / 2.0 ** (p + q + 1.0))
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _legendre_reference(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return _frozen(x), _frozen(w)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def jacobi_moment(p: float, q: float, m: int) -> float:

@@ -48,20 +48,34 @@ def apply_R_series(alpha: float, f: LaurentSeries, r: int) -> LaurentSeries:
     return LaurentSeries(f.n_min, f.coeffs * fac, f.valid_order, f.grade, f.r)
 
 
-def apply_R_quadrature(alpha: float, g, x: complex, r: int, n_nodes: int = 48) -> complex:
+def apply_R_quadrature(alpha: float, g, x: complex | np.ndarray, r: int,
+                       n_nodes: int = 48) -> complex | np.ndarray:
     """R_alpha g(x) by Gauss-Jacobi in t.
 
     The weight splits as (1-t^r)^(alpha-1) = (1-t)^(alpha-1) Q(t)^(alpha-1)
     with Q = 1 + t + ... + t^(r-1) smooth, so only the t = 1 endpoint moves
     into the Jacobi weight and analytic integrands keep spectral accuracy.
+
+    x may be a number (the result is complex) or a 1-d array of points (one
+    value per point, from a single call of g on every x t).
     """
     rule = gauss_jacobi_rule(alpha - 1.0, 0.0, n_nodes)
     t = rule.nodes
     Q = np.ones_like(t)
     for j in range(1, r):
         Q += t ** j
-    vals = np.asarray(g(x * t), dtype=complex)
-    return complex(np.sum(rule.weights * Q ** (alpha - 1.0) * vals))
+    out = _row_sums(g, np.outer(x, t), rule.weights * Q ** (alpha - 1.0))
+    return complex(out[0]) if np.ndim(x) == 0 else out
+
+
+def _row_sums(g, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j w_ij g(points[i, j]) for each row i, with g called once on the
+    flattened points; weights holds w_ij, or one row w_j shared by every i.
+    Trailing axes of g's values are kept."""
+    vals = np.asarray(g(points.ravel()), dtype=complex)
+    vals = vals.reshape(points.shape + vals.shape[1:])
+    w = weights.reshape(weights.shape + (1,) * (vals.ndim - 2))
+    return np.sum(w * vals, axis=1)
 
 
 def apply_R_inverse_series(order: float, f: LaurentSeries, r: int) -> LaurentSeries:
@@ -144,41 +158,46 @@ def apply_R_adjoint(
     alpha: float,
     a: float,
     g,
-    u: float,
+    u: float | np.ndarray,
     r: int,
     Tmax: float = 8.0,
     n_nodes: int = 48,
-) -> complex:
+) -> complex | np.ndarray:
     """Adjoint of R_alpha for the a-weighted ray product:
 
         R*_alpha g(u) = integral_1^inf g(u t) (t^r - 1)^(alpha-1) t^(a-1-r(alpha-1)) dt.
 
     The endpoint singularity at t = 1 is absorbed by s = t^r - 1 over
-    t in [1, 2]; the smooth remainder uses Gauss-Legendre up to the decay
-    cutoff Tmax/u.  The caller guarantees g decays fast enough that the
-    truncated tail is negligible.
+    t in [1, 2]; the smooth remainder uses Gauss-Legendre in the absolute
+    coordinate w = u t on [2u, Tmax], so small u keeps the integrand
+    resolved, and is skipped where 2u >= Tmax.  The caller guarantees g
+    decays fast enough that the truncated tail is negligible.
+
+    u may be a number (the result is complex) or a 1-d array of base points
+    (one value per point).  g is called once per part on a 1-d array of
+    absolute points; values with trailing axes (one column per function of a
+    basis, say) give results with the same trailing axes.
     """
-    if u <= 0:
+    scalar = np.ndim(u) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if np.any(u <= 0):
         raise ParameterError("adjoint evaluation needs u > 0")
     expo = a - 1.0 - r * (alpha - 1.0)
-    # part A: t in [1, 2] via s = t^r - 1 in [0, 2^r - 1]
+    # part A: t in [1, 2] via s = t^r - 1 in [0, 2^r - 1]; SA^alpha absorbs s^(alpha-1)
     SA = 2.0 ** r - 1.0
     ruleA = gauss_jacobi_rule(0.0, alpha - 1.0, n_nodes)
     s = SA * ruleA.nodes
-    wA = SA ** alpha * ruleA.weights  # absorbs s^(alpha-1)
-    t = (1.0 + s) ** (1.0 / r)
-    valsA = np.asarray(g(u * t), dtype=complex)
-    partA = np.sum(wA * valsA * (1.0 + s) ** ((expo + 1.0 - r) / r)) / r
-    # part B: smooth remainder, integrated in the absolute coordinate
-    # w = u t on [2u, Tmax] so small u keeps the integrand resolved
-    partB = 0.0 + 0.0j
-    if 2.0 * u < Tmax:
-        ruleB = gauss_legendre_rule(n_nodes, 2.0 * u, Tmax)
-        tb = ruleB.nodes / u
-        valsB = np.asarray(g(ruleB.nodes), dtype=complex)
-        partB = np.sum(ruleB.weights * valsB * (tb ** r - 1.0) ** (alpha - 1.0)
-                       * tb ** expo / u)
-    return complex(partA + partB)
+    wA = SA ** alpha * ruleA.weights * (1.0 + s) ** ((expo + 1.0 - r) / r) / r
+    out = _row_sums(g, np.outer(u, (1.0 + s) ** (1.0 / r)), wA)
+    # part B: one Gauss-Legendre rule per base point with 2u < Tmax
+    tail = 2.0 * u < Tmax
+    if np.any(tail):
+        ub = u[tail, None]
+        ruleB = gauss_legendre_rule(n_nodes, 2.0 * ub, Tmax)
+        tb = ruleB.nodes / ub
+        wB = ruleB.weights * (tb ** r - 1.0) ** (alpha - 1.0) * tb ** expo / ub
+        out[tail] += _row_sums(g, ruleB.nodes, wB)
+    return complex(out[0]) if scalar else out
 
 
 def product_factorization_check(mu: IndexVector, N: int) -> VerificationReport:

@@ -110,9 +110,6 @@ class LaurentSeries:
         scale = max(np.max(np.abs(self.coeffs)), 1.0)
         return bool(np.any(np.abs(head) > tol * scale))
 
-    def with_grade(self, k: int, r: int) -> "LaurentSeries":
-        return LaurentSeries(self.n_min, self.coeffs, self.valid_order, k % r, r)
-
 
 def monomial(n: int, coeff: complex = 1.0, n_max: int | None = None) -> LaurentSeries:
     top = n if n_max is None else max(n, n_max)

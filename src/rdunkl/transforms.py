@@ -28,6 +28,7 @@ from .series import CyclicStructure, evaluate
 from .special import IndexVector
 from .hilbert import RayMap, ray_dunkl
 from .operators import dunkl_kernel_series
+from .riemann_liouville import apply_R_adjoint
 from .transmutation import build_V_star
 
 
@@ -301,30 +302,6 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
     return complex(val)
 
 
-def _r_star_quad_nodes(beta: float, a: float, r: int, u: float, Tdecay: float, n: int):
-    """Nodes/weights in tau for R* along a ray at base point u.
-
-    The endpoint singularity over tau in [1, 2] maps to a Jacobi weight in
-    s = tau^r - 1; the smooth remainder is integrated in the absolute
-    coordinate w = u*tau on [2u, Tdecay] so small base points keep the
-    integrand resolved uniformly.
-    """
-    expo = a - 1.0 - r * (beta - 1.0)
-    SA = 2.0 ** r - 1.0
-    ruleA = gauss_jacobi_rule(0.0, beta - 1.0, n)
-    sA = SA * ruleA.nodes
-    tA = (1.0 + sA) ** (1.0 / r)
-    wA = SA ** beta * ruleA.weights * (1.0 + sA) ** ((expo + 1.0 - r) / r) / r
-    taus = [tA]
-    wts = [wA]
-    if 2.0 * u < Tdecay:
-        ruleB = gauss_legendre_rule(n, 2.0 * u, Tdecay)
-        tb = ruleB.nodes / u
-        taus.append(tb)
-        wts.append(ruleB.weights * (tb ** r - 1.0) ** (beta - 1.0) * tb ** expo / u)
-    return np.concatenate(taus), np.concatenate(wts)
-
-
 def _bary_weights(grid: np.ndarray) -> np.ndarray:
     """Barycentric weights with capacity scaling; deterministic."""
     cap = (grid[-1] - grid[0]) / 4.0
@@ -366,20 +343,18 @@ def _solve_ray_volterra(target: np.ndarray, grid: np.ndarray, beta: float,
     solution is below roundoff) become h = 0 constraints; quadrature points
     escaping the grid are treated as zero for the same reason.
     """
-    M = len(grid)
-    A = np.zeros((M, M), dtype=float)
     z_cut = (34.0) ** (1.0 / r)  # exp(-t^r) below 2e-15 past this point
-    rhs = np.array(target, dtype=complex)
-    for i, u in enumerate(grid):
-        if u > z_cut:
-            A[i, i] = 1.0
-            rhs[i] = 0.0
-            continue
-        taus, wts = _r_star_quad_nodes(beta, a, r, u, Tdecay, n_quad)
-        pts = u * taus
+    near = grid <= z_cut
+    A = np.diag(np.where(near, 0.0, 1.0))
+    rhs = np.where(near, np.asarray(target, dtype=complex), 0.0)
+
+    def basis(pts):
+        # Lagrange basis of the grid at pts, zero beyond the grid
+        B = np.zeros((len(pts), len(grid)))
         inside = pts <= grid[-1]
-        if np.any(inside):
-            B = _bary_matrix(grid, pts[inside])  # (n_inside, M)
-            A[i, :] = np.sum(wts[inside, None] * B, axis=0)
+        B[inside] = _bary_matrix(grid, pts[inside])
+        return B
+
+    A[near] = apply_R_adjoint(beta, a, basis, grid[near], r, Tdecay, n_quad).real
     sol = np.linalg.solve(A, rhs)
     return sol

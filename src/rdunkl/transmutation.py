@@ -30,8 +30,15 @@ from .reports import (
     VerificationReport,
     make_report,
 )
-from .riemann_liouville import l_coefficient
-from .series import CyclicStructure, LaurentSeries, differentiate, exp_series, series_residual
+from .riemann_liouville import apply_R_adjoint, apply_R_quadrature, l_coefficient
+from .series import (
+    CyclicStructure,
+    LaurentSeries,
+    add,
+    differentiate,
+    exp_series,
+    series_residual,
+)
 from .special import IndexVector
 
 
@@ -115,11 +122,6 @@ class TransmutationMap:
 
 def build_V(mu: IndexVector, N: int) -> TransmutationMap:
     return TransmutationMap(mu, N)
-
-
-def apply_V_inverse(mu: IndexVector, f: LaurentSeries, N: int | None = None) -> LaurentSeries:
-    V = build_V(mu, N if N is not None else f.n_max)
-    return V.solve(f)
 
 
 def closed_form_V_r2(alpha: float, N: int) -> np.ndarray:
@@ -270,16 +272,10 @@ def fourier_sum_series(coeffs: dict, period: float, N: int) -> LaurentSeries:
     for n, v in coeffs.items():
         term = exp_series(2j * np.pi * n / period, N)
         term = LaurentSeries(term.n_min, v * term.coeffs, term.valid_order)
-        acc = term if acc is None else _series_add(acc, term)
+        acc = term if acc is None else add(acc, term)
     if acc is None:
         raise ParameterError("need at least one Fourier coefficient")
     return acc
-
-
-def _series_add(a, b):
-    from .series import add
-
-    return add(a, b)
 
 
 def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, Tmax: float = 8.0,
@@ -354,8 +350,6 @@ def build_V_ray(mu: IndexVector, n_nodes: int = 48):
     """The transmutation operator as a ray evaluator, realized through its
     integral form (fractional means by quadrature along each ray).  Used to
     pair V against its adjoint on the decaying family."""
-    from .quadrature import gauss_jacobi_rule
-
     weight = MehlerWeight(mu)
     r = mu.r
     c = mu.cyclic
@@ -368,19 +362,9 @@ def build_V_ray(mu: IndexVector, n_nodes: int = 48):
         return RayMap(fn)
 
     def r_mean(g, beta):
-        rule = gauss_jacobi_rule(beta - 1.0, 0.0, n_nodes)
-        s = rule.nodes
-        Q = np.ones_like(s)
-        for j in range(1, r):
-            Q += s ** j
-        w = rule.weights * Q ** (beta - 1.0)
-
         def fn(m, t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.empty(t.shape, dtype=complex)
-            for i, ti in enumerate(t):
-                out[i] = np.sum(w * g.on_ray(m, ti * s))
-            return out
+            return apply_R_quadrature(beta, lambda z: g.on_ray(m, z), np.atleast_1d(t), r,
+                                      n_nodes)
 
         return RayMap(fn)
 
@@ -426,33 +410,9 @@ def build_V_ray(mu: IndexVector, n_nodes: int = 48):
 def _ray_r_star(g, beta: float, a: float, r: int, c: CyclicStructure,
                 n_nodes: int, Tmax: float) -> RayMap:
     """R*_beta applied along each ray to a ray evaluator."""
-    from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
-
-    expo = a - 1.0 - r * (beta - 1.0)
-    SA = 2.0 ** r - 1.0
-    ruleA = gauss_jacobi_rule(0.0, beta - 1.0, n_nodes)
-    sA = SA * ruleA.nodes
-    wA = SA ** beta * ruleA.weights / r
-    tA = (1.0 + sA) ** (1.0 / r)
-    fA = (1.0 + sA) ** ((expo + 1.0 - r) / r)
 
     def fn(m, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t.shape, dtype=complex)
-        for idx, u in enumerate(t):
-            vals = g.on_ray(m, u * tA)
-            acc = np.sum(wA * vals * fA)
-            tmax = max(2.0, Tmax / u)
-            if tmax > 2.0:
-                ruleB = gauss_legendre_rule(n_nodes, 2.0, tmax)
-                tb = ruleB.nodes
-                acc += np.sum(
-                    ruleB.weights
-                    * g.on_ray(m, u * tb)
-                    * (tb ** r - 1.0) ** (beta - 1.0)
-                    * tb ** expo
-                )
-            out[idx] = acc
-        return out
+        return apply_R_adjoint(beta, a, lambda w: g.on_ray(m, w), np.atleast_1d(t), r,
+                               Tmax, n_nodes)
 
     return RayMap(fn)

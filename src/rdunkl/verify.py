@@ -282,24 +282,11 @@ def suite_rl(r, seed, nodes, degree, tol_scale=1.0):
     def Rf_clean(m, t):
         # R_alpha along the ray: integral_0^1 f(omega^m t s)(1-s^r)^(alpha-1) ds,
         # with only the s = 1 endpoint in the Jacobi weight
-        t = np.atleast_1d(t)
-        from .quadrature import gauss_jacobi_rule
-
-        rule = gauss_jacobi_rule(alpha - 1.0, 0.0, nodes)
-        s = rule.nodes
-        Q = np.ones_like(s)
-        for j in range(1, r):
-            Q += s ** j
-        w = rule.weights * Q ** (alpha - 1.0)
-        out_v = np.empty(t.shape, dtype=complex)
-        for i, ti in enumerate(t):
-            out_v[i] = np.sum(w * ffn.on_ray(m, ti * s))
-        return out_v
+        return apply_R_quadrature(alpha, lambda z: ffn.on_ray(m, z), np.atleast_1d(t), r, nodes)
 
     def Rstar_g(m, t):
-        t = np.atleast_1d(t)
-        return np.array([apply_R_adjoint(alpha, a, lambda s: gfn.on_ray(m, s), float(ti), r,
-                                         Tmax=ip.Tmax, n_nodes=nodes) for ti in t])
+        return apply_R_adjoint(alpha, a, lambda s: gfn.on_ray(m, s), np.atleast_1d(t), r,
+                               Tmax=ip.Tmax, n_nodes=nodes)
 
     from .hilbert import inner_product_plain
 

@@ -120,3 +120,17 @@ def test_verify_json_reports_carry_pass_key():
     out = run_cli("verify", "dunkl-opdam", "--r", "2", "--seed", "4")
     reports = json.loads(out.stdout)
     assert reports and all("pass" in rep and "passed" not in rep for rep in reports)
+
+
+@pytest.mark.parametrize("args,flag", [
+    (("eval", "j", "--r", "2", "--alpha", "0,0.5", "--x-grid", "0:1:3", "--degree", "-5"),
+     "--degree"),
+    (("verify", "rl", "--r", "2", "--nodes", "0"), "--nodes"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid", "0:1:3", "--nodes", "-1"),
+     "--nodes"),
+])
+def test_out_of_range_flags_exit_2_before_output(args, flag):
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert flag in out.stderr

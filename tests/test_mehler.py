@@ -225,3 +225,25 @@ def test_removed_dimension_equivalence():
         got = mehler_j(mu, x, 48)
         want = rd.bessel_j_value(mu, x)
         assert abs(got - want) / (1 + abs(want)) < 1e-9
+
+
+@pytest.mark.parametrize("mu", [
+    rd.IndexVector(2, (0.0, 0.75)),
+    rd.IndexVector(3, (0.4, 0.9 - 1 / 3, 0.3)),
+    rd.IndexVector(4, (0.0, 0.2, 0.5, 0.1)),
+])
+def test_tensor_nodes_equal_meshgrid_product(mu):
+    # broadcasting must reproduce the meshgrid product bit for bit
+    from rdunkl.mehler import _tensor_nodes
+
+    weight = MehlerWeight(mu)
+    n, r = 7, mu.r
+    rules = [gauss_jacobi_rule(p, q, n) for (p, q) in weight.jacobi_params]
+    grids = np.meshgrid(*[rl.nodes for rl in rules], indexing="ij")
+    wgrids = np.meshgrid(*[rl.weights for rl in rules], indexing="ij")
+    u_ref, w_ref = np.ones_like(grids[0]), np.ones_like(wgrids[0])
+    for g, w in zip(grids, wgrids):
+        u_ref = u_ref * g ** (1.0 / r)
+        w_ref = w_ref * w / r
+    u, w = _tensor_nodes(weight, n)
+    assert np.array_equal(u, u_ref.ravel()) and np.array_equal(w, w_ref.ravel())

@@ -159,3 +159,78 @@ def test_composition_law_beta_factor():
 def test_inverse_rejects_nonpositive_order():
     with pytest.raises(ParameterError):
         apply_R_inverse_series(0.0, monomial(1), 2)
+
+
+# base points on both sides of Tmax / 2 = 4: part B is skipped from 4.0 on
+BASE_POINTS = np.array([0.05, 0.4, 1.3, 3.9, 4.0, 6.5])
+
+
+def _adjoint_reference(alpha, a, g, u, r, Tmax, n):
+    # the per-point R* loop in the relative coordinate t, as it stood before
+    # the quadrature was vectorized over base points
+    from rdunkl.quadrature import gauss_jacobi_rule, gauss_legendre_rule
+
+    expo = a - 1.0 - r * (alpha - 1.0)
+    SA = 2.0 ** r - 1.0
+    ruleA = gauss_jacobi_rule(0.0, alpha - 1.0, n)
+    sA = SA * ruleA.nodes
+    tA = (1.0 + sA) ** (1.0 / r)
+    acc = np.sum(SA ** alpha * ruleA.weights / r * g(u * tA)
+                 * (1.0 + sA) ** ((expo + 1.0 - r) / r))
+    if Tmax / u > 2.0:
+        tb = gauss_legendre_rule(n, 2.0, Tmax / u).nodes
+        wb = gauss_legendre_rule(n, 2.0, Tmax / u).weights
+        acc += np.sum(wb * g(u * tb) * (tb ** r - 1.0) ** (alpha - 1.0) * tb ** expo)
+    return complex(acc)
+
+
+def test_adjoint_vectorized_matches_scalar_loop():
+    g = lambda s: (1.0 + 0.5j * s) * np.exp(-s ** 3)
+    for alpha, a, r in ((0.7, 1.8, 3), (1.3, 2.2, 2), (0.45, 3.1, 4)):
+        got = apply_R_adjoint(alpha, a, g, BASE_POINTS, r, Tmax=8.0, n_nodes=40)
+        assert got.shape == BASE_POINTS.shape
+        loop = np.array([apply_R_adjoint(alpha, a, g, float(u), r, Tmax=8.0, n_nodes=40)
+                         for u in BASE_POINTS])
+        assert np.max(np.abs(got - loop) / np.abs(loop)) <= 1e-15
+        ref = np.array([_adjoint_reference(alpha, a, g, u, r, 8.0, 40) for u in BASE_POINTS])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+
+def test_adjoint_keeps_trailing_axes_of_g():
+    # a g returning one column per function gives one adjoint per column
+    fns = [lambda s: np.exp(-s ** 2), lambda s: s * np.exp(-s ** 2)]
+    both = lambda s: np.stack([f(s) for f in fns], axis=-1)
+    got = apply_R_adjoint(0.8, 1.5, both, BASE_POINTS, 2, Tmax=9.0)
+    assert got.shape == (len(BASE_POINTS), 2)
+    for k, f in enumerate(fns):
+        want = apply_R_adjoint(0.8, 1.5, f, BASE_POINTS, 2, Tmax=9.0)
+        assert np.max(np.abs(got[:, k] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_adjoint_rejects_nonpositive_base_point():
+    with pytest.raises(ParameterError):
+        apply_R_adjoint(0.8, 1.5, np.exp, np.array([0.5, 0.0]), 2)
+
+
+def test_ray_r_star_agrees_with_adjoint_on_each_ray():
+    from rdunkl.hilbert import ray_poly
+    from rdunkl.series import CyclicStructure
+    from rdunkl.transmutation import _ray_r_star
+
+    c = CyclicStructure(3)
+    g = ray_poly(c, [1.0, 0.4, 0.0, -0.2])
+    beta, a = 0.9, 2.7
+    ray = _ray_r_star(g, beta, a, 3, c, 48, 8.0)
+    for m in range(3):
+        got = ray.on_ray(m, BASE_POINTS)
+        want = np.array([apply_R_adjoint(beta, a, lambda w: g.on_ray(m, w), float(u), 3,
+                                         Tmax=8.0, n_nodes=48) for u in BASE_POINTS])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+
+def test_quadrature_mean_vectorized_matches_scalar_calls():
+    g = lambda z: (z ** 3 - 2j * z) * np.exp(-z)
+    xs = np.array([0.1, 0.9, 2.5])
+    got = apply_R_quadrature(0.6, g, xs, 3, 32)
+    for x, v in zip(xs, got):
+        assert v == apply_R_quadrature(0.6, g, float(x), 3, 32)
