@@ -100,7 +100,7 @@ def cmd_eval(args) -> int:
         ser = dunkl_kernel_series(mu, 1.0, args.degree)
         vals = [evaluate(ser, x) for x in xs]
     elif args.kind == "cosr":
-        vals = [cos_r_value(c, x) for x in xs]
+        vals = cos_r_value(c, xs)
     else:
         raise RdunklError(f"unknown kind {args.kind}")
     for x, v in zip(xs, vals):

@@ -24,6 +24,8 @@ from .special import IndexVector, cos_r_value, gamma_ratio
 from .operators import chain_expansion_coeffs
 
 _A_ZERO_TOL = 1e-12
+#: most tensor nodes evaluated at once; bounds the quadrature's working memory
+_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -57,31 +59,64 @@ class MehlerWeight:
         object.__setattr__(self, "c_norm", c)
 
 
+def _grid_product(nodes, weights, r, u, w):
+    """Flat product grid of the 1-d factors, each point of the prefix grid
+    (u, w) multiplied left to right by every later factor in C order."""
+    for a, b in zip(nodes, weights):
+        u = (u[:, None] * a).ravel()
+        w = (w[:, None] * b / r).ravel()
+    return u, w
+
+
 def _tensor_nodes(weight: MehlerWeight, n_nodes: int):
-    """Flattened tensor grid: product of u_i = v_i^(1/r) and the combined
-    quadrature weight including the per-dimension 1/r substitution factors."""
+    """Flattened tensor grid in blocks of at most _BLOCK nodes: products of
+    u_i = v_i^(1/r) and the combined quadrature weights including the
+    per-dimension 1/r substitution factors.
+
+    The trailing dimensions that fit in a block form the inner grid; each
+    block multiplies a run of outer prefix products into it, so the
+    concatenated blocks are the full C-order grid, bit for bit.
+    """
     r = weight.mu.r
     rules = [gauss_jacobi_rule(p, q, n_nodes) for (p, q) in weight.jacobi_params]
     if not rules:
-        return np.array([1.0]), np.array([1.0])
-    # broadcasting the 1-d factors keeps only the product grids in memory
-    dims = len(rules)
-    u_prod = w_prod = np.ones((1,) * dims)
-    for k, rl in enumerate(rules):
-        shape = [1] * dims
-        shape[k] = -1
-        u_prod = u_prod * rl.nodes.reshape(shape) ** (1.0 / r)
-        w_prod = w_prod * rl.weights.reshape(shape) / r
-    return u_prod.ravel(), w_prod.ravel()
+        yield np.array([1.0]), np.array([1.0])
+        return
+    nodes = [rl.nodes ** (1.0 / r) for rl in rules]
+    weights = [rl.weights for rl in rules]
+    split, inner = len(rules), 1
+    while split > 0 and inner * n_nodes <= _BLOCK:
+        split -= 1
+        inner *= n_nodes
+    u_out, w_out = _grid_product(nodes[:split], weights[:split], r, np.ones(1), np.ones(1))
+    rows = _BLOCK // inner
+    for lo in range(0, u_out.size, rows):
+        yield _grid_product(nodes[split:], weights[split:], r,
+                            u_out[lo:lo + rows], w_out[lo:lo + rows])
 
 
 def mehler_j(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
     """j_mu(x) as the weighted integral of cos_r(x u_0 ... u_{r-1})."""
     weight = MehlerWeight(mu)
-    u, w = _tensor_nodes(weight, n_nodes_per_dim)
     c = mu.cyclic
-    vals = cos_r_value(c, x * u)
-    return weight.c_norm * complex(np.sum(w * vals))
+    total = 0.0
+    for u, w in _tensor_nodes(weight, n_nodes_per_dim):
+        total += np.sum(w * cos_r_value(c, x * u))
+    return weight.c_norm * complex(total)
+
+
+def _kernel_coeffs(mu: IndexVector, x: complex) -> np.ndarray:
+    """c_0..c_{r-1} of the grouped kernel integrand sum_m c_m u^m S_m: the
+    chain terms (P_j^(k)/theta^j) x^(-j) u^(k-j) collected by m = k - j,
+    including the k = 0 term, and divided by r from the group average."""
+    r, theta = mu.r, mu.cyclic.theta
+    coef = np.zeros(r, dtype=complex)
+    coef[0] = 1.0
+    for k in range(1, r):
+        P = chain_expansion_coeffs(mu.a[:k])
+        for j in range(k + 1):
+            coef[k - j] += P[j] / theta ** j * complex(x) ** (-j)
+    return coef / r
 
 
 def mehler_E(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
@@ -94,32 +129,32 @@ def mehler_E(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
                      T_k[ x^(-j) u^(k-j) e(x u) ],
 
     with e(y) = exp(theta y) and each T_k realized by the r-point average
-    over rotated arguments.  The x^(-j) factors sit inside T_k, so x = 0 is
-    excluded.
+    over rotated arguments.  Since T_k[x^(-j) g](x) = (1/r) sum_n
+    omega^(n(k-j)) x^(-j) g(omega^n x), the terms group by m = k - j into
+
+        sum_{m=0}^{r-1} c_m u^m S_m,   S_m = sum_n omega^(nm) e(omega^n x u),
+
+    with c_m from _kernel_coeffs.  The quadrature accumulates the moments
+    A[n, m] = sum w u^m e(omega^n x u) block by block.  For real x the rows
+    n and r-1-n are complex conjugates, so only the first ceil(r/2) rows are
+    integrated.  The x^(-j) factors sit inside T_k, so x = 0 is excluded.
     """
     if x == 0:
         raise ParameterError("kernel quadrature needs x != 0")
     weight = MehlerWeight(mu)
-    u, w = _tensor_nodes(weight, n_nodes_per_dim)
     c = mu.cyclic
-    r, theta = mu.r, c.theta
-    # rotated argument exponentials, one row per group element
-    rot = np.array([c.omega_pow(n) for n in range(r)])
-    ex = np.exp(theta * np.outer(rot, u) * x)  # shape (r, nodes)
-    total = np.zeros(u.shape, dtype=complex)
-    # k = 0 term: T_0 e(xu) = (1/r) sum_n e(omega^n x u)
-    total += ex.mean(axis=0)
-    for k in range(1, r):
-        P = chain_expansion_coeffs(mu.a[:k])
-        for j in range(k + 1):
-            if P[j] == 0.0:
-                continue
-            # T_k[x^(-j) u^(k-j) e(xu)](x) = (1/r) sum_n omega^(nk) (omega^n x)^(-j) u^(k-j) e(omega^n x u)
-            pieces = np.zeros(u.shape, dtype=complex)
-            for n in range(r):
-                pieces += rot[n] ** k * (rot[n] * x) ** (-j) * ex[n]
-            total += (P[j] / theta ** j) * u ** (k - j) * pieces / r
-    return weight.c_norm * complex(np.sum(w * total))
+    r = mu.r
+    real = np.isrealobj(x)
+    rows = (r + 1) // 2 if real else r
+    rot = np.array([c.theta * c.omega_pow(n) * x for n in range(rows)])
+    A = np.zeros((rows, r), dtype=complex)
+    for u, w in _tensor_nodes(weight, n_nodes_per_dim):
+        A += np.exp(np.outer(rot, u)) @ (np.vander(u, r, increasing=True) * w[:, None])
+    if real:
+        A = np.concatenate([A, A[r - 1 - rows::-1].conj()])
+    omega_nm = np.array([[c.omega_pow(n * m) for m in range(r)] for n in range(r)])
+    S = np.sum(omega_nm * A, axis=0)
+    return weight.c_norm * complex(np.sum(_kernel_coeffs(mu, x) * S))
 
 
 def beta_lemma_check(x: float, y: float, r: int, n_nodes: int = 48) -> VerificationReport:

@@ -200,10 +200,11 @@ def apply_R_adjoint(
     return complex(out[0]) if scalar else out
 
 
-def product_factorization_check(mu: IndexVector, N: int) -> VerificationReport:
+def product_factorization_check(mu: IndexVector, N: int, case: str = "") -> VerificationReport:
     """j_mu against the chain of conjugated fractional means applied to
     cos_r, with order parameters beta_i = alpha_i + i/r over the dimensions
     with a_i != 0.  Exact on coefficients; the residual measures roundoff.
+    A nonempty ``case`` names how mu was drawn and suffixes the check id.
     """
     from .mehler import MehlerWeight
     from .series import series_residual
@@ -221,7 +222,7 @@ def product_factorization_check(mu: IndexVector, N: int) -> VerificationReport:
     rhs = bessel_j_series(mu, N)
     resid = series_residual(lhs, rhs)
     return make_report(
-        check_id="rl.product_factorization",
+        check_id=f"rl.product_factorization.{case}" if case else "rl.product_factorization",
         params={"r": r, "alphas": list(mu.alphas), "N": N},
         residual=resid,
         tolerance=1e-13,
@@ -245,7 +246,7 @@ def composition_law_check(k: int, alpha: float, r: int, max_degree: int = 24) ->
         rhs = factor * l_coefficient(n, k + alpha, r)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return make_report(
-        check_id="rl.composition_law",
+        check_id=f"rl.composition_law.k{k}",
         params={"k": k, "alpha": alpha, "r": r, "beta_factor": factor},
         residual=worst,
         tolerance=1e-12,

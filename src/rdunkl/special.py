@@ -141,8 +141,24 @@ def cos_r_series(c: CyclicStructure, N: int) -> LaurentSeries:
     return project_T(exp_series(c.theta, N), 0, c)
 
 
-def cos_r_value(c: CyclicStructure, z) -> complex | np.ndarray:
-    """cos_r by the exact r-point average (1/r) sum_k exp(theta omega^k z)."""
+def cos_r_value(c: CyclicStructure, z) -> float | complex | np.ndarray:
+    """cos_r by the exact r-point average (1/r) sum_k exp(theta omega^k z).
+
+    For real z the rotations theta omega^k and theta omega^(r-1-k) are
+    complex conjugates, so the average is summed in real arithmetic as
+    (1/r) [sum_k 2 exp(a_k z) cos(b_k z) + (r odd) exp(-z)] over
+    k < r/2, with a_k + i b_k = theta omega^k; the result is then real.
+    """
+    if np.isrealobj(z):
+        z = np.asarray(z, dtype=float)
+        val = np.exp(-z) if c.r % 2 else np.zeros_like(z)
+        for k in range(c.r // 2):
+            angle = np.pi * (2 * k + 1) / c.r
+            val = val + 2.0 * np.exp(np.cos(angle) * z) * np.cos(np.sin(angle) * z)
+        val = val / c.r
+        if val.ndim == 0:
+            return float(val)
+        return val
     z = np.asarray(z, dtype=complex)
     val = np.zeros_like(z)
     for k in range(c.r):

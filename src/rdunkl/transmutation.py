@@ -187,7 +187,7 @@ def v_maps_exp_to_kernel_check(mu: IndexVector, lam: complex, N: int,
     Exact at lam = 1 for every index, and at all lam when no correction
     term with j >= 1 survives (classical r = 2 family, degenerate index).
     Otherwise the two sides genuinely differ; the report then carries the
-    measured gap.
+    measured gap.  The check id ends in ".real" or ".complex" after lam.
     """
     c = mu.cyclic
     V = build_V(mu, N)
@@ -195,8 +195,9 @@ def v_maps_exp_to_kernel_check(mu: IndexVector, lam: complex, N: int,
     rhs = dunkl_kernel_series(mu, lam, N)
     resid = series_residual(lhs, rhs)
     exact_expected = _kernel_map_exact(mu) or lam == 1.0
+    arg = "real" if complex(lam).imag == 0 else "complex"
     return make_report(
-        check_id="transmutation.exp_to_kernel",
+        check_id=f"transmutation.exp_to_kernel.{arg}",
         params={"r": mu.r, "alphas": list(mu.alphas), "lam": complex(lam), "N": N},
         residual=resid,
         tolerance=tolerance,

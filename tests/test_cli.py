@@ -45,6 +45,13 @@ def test_eval_cosr_at_zero():
     assert out.stdout.strip().splitlines()[1] == "0,1,0"
 
 
+def test_eval_cosr_is_real_on_the_real_grid():
+    out = run_cli("eval", "cosr", "--r", "5", "--x-grid=-3:4:8")
+    assert out.returncode == 0
+    rows = [line.split(",") for line in out.stdout.strip().splitlines()[1:]]
+    assert len(rows) == 8 and all(im == "0" for _, _, im in rows)
+
+
 def test_eval_kernel_degenerate_is_complex_exponential():
     out = run_cli("eval", "E", "--r", "2", "--x-grid", "1:1:1")
     line = out.stdout.strip().splitlines()[1]

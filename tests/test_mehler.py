@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rdunkl as rd
+from rdunkl import mehler
 from rdunkl._errors import ParameterError
 from rdunkl.mehler import MehlerWeight, beta_lemma_check, mehler_E, mehler_j
 from rdunkl.quadrature import (
@@ -227,17 +229,10 @@ def test_removed_dimension_equivalence():
         assert abs(got - want) / (1 + abs(want)) < 1e-9
 
 
-@pytest.mark.parametrize("mu", [
-    rd.IndexVector(2, (0.0, 0.75)),
-    rd.IndexVector(3, (0.4, 0.9 - 1 / 3, 0.3)),
-    rd.IndexVector(4, (0.0, 0.2, 0.5, 0.1)),
-])
-def test_tensor_nodes_equal_meshgrid_product(mu):
-    # broadcasting must reproduce the meshgrid product bit for bit
-    from rdunkl.mehler import _tensor_nodes
-
+def _meshgrid_nodes(mu, n):
+    # the full tensor grid as one meshgrid product, factors taken left to right
     weight = MehlerWeight(mu)
-    n, r = 7, mu.r
+    r = mu.r
     rules = [gauss_jacobi_rule(p, q, n) for (p, q) in weight.jacobi_params]
     grids = np.meshgrid(*[rl.nodes for rl in rules], indexing="ij")
     wgrids = np.meshgrid(*[rl.weights for rl in rules], indexing="ij")
@@ -245,5 +240,101 @@ def test_tensor_nodes_equal_meshgrid_product(mu):
     for g, w in zip(grids, wgrids):
         u_ref = u_ref * g ** (1.0 / r)
         w_ref = w_ref * w / r
-    u, w = _tensor_nodes(weight, n)
-    assert np.array_equal(u, u_ref.ravel()) and np.array_equal(w, w_ref.ravel())
+    return u_ref.ravel(), w_ref.ravel()
+
+
+def _concatenated_blocks(mu, n):
+    blocks = list(mehler._tensor_nodes(MehlerWeight(mu), n))
+    assert all(u.size == w.size <= mehler._BLOCK for u, w in blocks)
+    return len(blocks), np.concatenate([u for u, _ in blocks]), np.concatenate([w for _, w in blocks])
+
+
+R5_FULL = rd.IndexVector(5, (0.3, 0.5, 0.7, 0.9, 1.1))  # five included dimensions
+
+
+@pytest.mark.parametrize("mu", [
+    rd.IndexVector(2, (0.0, 0.75)),
+    rd.IndexVector(3, (0.4, 0.9 - 1 / 3, 0.3)),
+    rd.IndexVector(4, (0.0, 0.2, 0.5, 0.1)),
+    R5_FULL,
+])
+def test_tensor_nodes_equal_meshgrid_product(mu, monkeypatch):
+    # the concatenated blocks must reproduce the meshgrid product bit for
+    # bit, whether the grid fits one block, spans several, or one
+    # dimension alone exceeds the block size
+    n = 7
+    u_ref, w_ref = _meshgrid_nodes(mu, n)
+    for block in (mehler._BLOCK, 40, 5):
+        monkeypatch.setattr(mehler, "_BLOCK", block)
+        count, u, w = _concatenated_blocks(mu, n)
+        assert (count == 1) == (u_ref.size <= block)
+        assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
+
+
+def test_tensor_nodes_default_block_spans_several_blocks():
+    n = 9  # 9^5 = 59049 nodes, more than one default block
+    u_ref, w_ref = _meshgrid_nodes(R5_FULL, n)
+    count, u, w = _concatenated_blocks(R5_FULL, n)
+    assert count > 1
+    assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("mu,n", [
+    (R5_FULL, 9),
+    (rd.IndexVector(4, (0.2, 0.5, 0.1, 0.8)), 16),  # 16^4 = 65536 nodes
+])
+def test_blocked_sums_match_one_block(mu, n, monkeypatch):
+    j_blocked, E_blocked = mehler_j(mu, 1.7, n), mehler_E(mu, 1.3, n)
+    monkeypatch.setattr(mehler, "_BLOCK", n ** mu.r)
+    j_one, E_one = mehler_j(mu, 1.7, n), mehler_E(mu, 1.3, n)
+    assert abs(j_blocked - j_one) <= 1e-14 * abs(j_one)
+    assert abs(E_blocked - E_one) <= 1e-14 * abs(E_one)
+
+
+def _mehler_E_loop(mu, x, n):
+    # the (k, j, n) loop over the full grid: T_0 e(xu) plus every chain term
+    # T_k[x^(-j) u^(k-j) e(xu)] realized by the r-point rotated average
+    weight = MehlerWeight(mu)
+    u, w = _meshgrid_nodes(mu, n)
+    c = mu.cyclic
+    r, theta = mu.r, c.theta
+    rot = np.array([c.omega_pow(m) for m in range(r)])
+    ex = np.exp(theta * np.outer(rot, u) * x)
+    total = ex.mean(axis=0)
+    for k in range(1, r):
+        P = rd.chain_expansion_coeffs(mu.a[:k])
+        for j in range(k + 1):
+            pieces = np.zeros(u.shape, dtype=complex)
+            for m in range(r):
+                pieces += rot[m] ** k * (rot[m] * x) ** (-j) * ex[m]
+            total = total + (P[j] / theta ** j) * u ** (k - j) * pieces / r
+    return weight.c_norm * complex(np.sum(w * total))
+
+
+@pytest.mark.parametrize("mu", [
+    rd.IndexVector(2, (0.0, 0.6)),
+    rd.IndexVector(2, (0.3, 0.8)),
+    rd.IndexVector(3, (0.2, 0.5, 1.0)),
+    rd.IndexVector(4, (0.0, 0.2, 0.5, 0.1)),
+    rd.IndexVector(4, (0.4, 0.1, 0.6, 0.3)),
+    rd.IndexVector(5, (0.0, 0.5, 0.7, 0.9, 1.1)),
+    R5_FULL,
+])
+@pytest.mark.parametrize("x", [0.4, 1.3, -2.1, 0.8 + 0.5j])
+def test_mehler_E_grouped_matches_term_loop(mu, x):
+    n = 6
+    want = _mehler_E_loop(mu, x, n)
+    assert abs(mehler_E(mu, x, n) - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+def test_mehler_j_memory_bounded():
+    # 24^5 = 7,962,624 nodes; the full grid alone would be 127 MB of u and w
+    tracemalloc.start()
+    try:
+        got = mehler_j(R5_FULL, 1.7, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    want = rd.bessel_j_value(R5_FULL, 1.7)
+    assert abs(got - want) / (1 + abs(want)) < 1e-12

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,6 +91,26 @@ def test_cos_r_two_formulas_agree():
     c3 = rd.CyclicStructure(3)
     s3 = rd.cos_r_series(c3, 60)
     assert abs(rd.evaluate(s3, 0.7) - rd.cos_r_value(c3, 0.7)) < 1e-13
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_cos_r_real_path_matches_complex_path_and_mpmath(r):
+    # real z sums the conjugate pairs in real arithmetic; complex z keeps
+    # the r-term average, so the two paths are independent evaluations
+    c = rd.CyclicStructure(r)
+    z = np.linspace(-4.0, 4.0, 161)
+    got = rd.cos_r_value(c, z)
+    assert got.dtype == np.float64
+    cplx = rd.cos_r_value(c, z.astype(complex))
+    assert np.max(np.abs(got - cplx) / (1.0 + np.abs(cplx))) < 1e-14
+    with mpmath.workdps(40):
+        rots = [mpmath.exp(1j * mpmath.pi * (2 * k + 1) / r) for k in range(r)]
+        want = np.array([float(mpmath.re(sum(mpmath.exp(w * mpmath.mpf(float(x))) for w in rots) / r))
+                         for x in z])
+    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-14
+    scalar = rd.cos_r_value(c, 0.7)
+    assert isinstance(scalar, float) and scalar == rd.cos_r_value(c, np.array([0.7]))[0]
+    assert rd.cos_r_value(c, 0.0) == 1.0
 
 
 def test_cos_r_equals_degenerate_bessel():
