@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
-from ._errors import RdunklError
-from .series import CyclicStructure, evaluate
+from ._errors import RdunklError, SeriesOverflowError
+from .series import CyclicStructure, LaurentSeries, evaluate
 from .special import IndexVector, bessel_j_series, cos_r_value
 from .operators import dunkl_kernel_series
 from .verify import SUITES, run_suites
@@ -55,6 +56,18 @@ def _parse_grid(text: str):
     return np.array([float(x) for x in text.split(",")])
 
 
+def _refuse_uncertified(where: str, grid, vals, err, tol: float, what: str):
+    """Raise unless every value is finite with err <= tol (1 + |value|); a NaN
+    estimate never passes.  The message names the first failing grid point."""
+    vals, err = np.asarray(vals), np.asarray(err)
+    ok = np.isfinite(vals) & (err <= tol * (1.0 + np.abs(vals)))
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise SeriesOverflowError(
+            f"{where}={float(grid[i]):g}: {what} {float(err[i]):.3g} exceeds "
+            f"{tol:g} * (1 + |value|) = {tol * (1.0 + abs(complex(vals[i]))):.3g}")
+
+
 def _int_at_least(low: int):
     """argparse type for an integer flag >= low; argparse names the flag in
     its error and exits 2 before any command runs."""
@@ -92,21 +105,39 @@ def cmd_eval(args) -> int:
         mu = IndexVector(args.r, tuple(-k / args.r for k in range(args.r)))
     c = CyclicStructure(args.r)
     xs = _parse_grid(args.x_grid)
-    print("x,re,im")
-    if args.kind == "j":
-        ser = bessel_j_series(mu, args.degree)
-        vals = [evaluate(ser, x) for x in xs]
-    elif args.kind == "E":
-        ser = dunkl_kernel_series(mu, 1.0, args.degree)
-        vals = [evaluate(ser, x) for x in xs]
+    if args.kind in ("j", "E"):
+        vals = _certified_series_values(mu, args.kind, args.degree, xs)
     elif args.kind == "cosr":
         vals = cos_r_value(c, xs)
     else:
         raise RdunklError(f"unknown kind {args.kind}")
+    print("x,re,im")
     for x, v in zip(xs, vals):
         v = complex(v)
         print(f"{_fmt(float(x))},{_fmt(v.real)},{_fmt(v.imag)}")
     return 0
+
+
+def _certified_series_values(mu: IndexVector, kind: str, degree: int, xs):
+    """Values of the degree-``degree`` series of j_mu or E_mu on the grid,
+    refused unless the next r degrees, sum |c_n| |x|^n, stay below
+    1e-12 (1 + |value|) at every x."""
+    r = mu.r
+    if kind == "j":
+        ser = bessel_j_series(mu, degree + r)
+    else:
+        ser = dunkl_kernel_series(mu, 1.0, degree + r)
+    # the truncation printed is the one built at `degree`: j keeps degrees up
+    # to `degree`, E up to `degree - r + 1`, where its valid_order ends
+    top = min(ser.valid_order, ser.n_max) - r
+    head = LaurentSeries(ser.n_min, ser.coeffs[: top - ser.n_min + 1], top)
+    vals = [evaluate(head, x) for x in xs]
+    next_mags = np.abs(ser.coeffs[top - ser.n_min + 1: top - ser.n_min + 1 + r])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tail = next_mags @ (np.abs(xs)[None, :] ** np.arange(top + 1, top + r + 1)[:, None])
+    _refuse_uncertified("x", xs, vals, tail, 1e-12,
+                        f"the --degree {degree} truncation is not converged; tail estimate")
+    return vals
 
 
 def cmd_verify(args) -> int:
@@ -141,7 +172,7 @@ def cmd_convert(args) -> int:
 
 def cmd_transform(args) -> int:
     from .hilbert import ray_poly
-    from .transforms import dunkl_transform_F
+    from .transforms import moment_transform
 
     mu = _parse_alphas(args.mu, args.r)
     a = args.a if args.a is not None else 1.0
@@ -154,34 +185,54 @@ def cmd_transform(args) -> int:
     else:
         raise RdunklError(f"unknown input {args.input!r}")
     lams = _parse_grid(args.lambda_grid)
+    vals, err = moment_transform(mu, a, g, lams)
+    _refuse_uncertified("lambda", lams, vals, err, 1e-10,
+                        "F(lambda) is not certified; rounding estimate")
     print("x,re,im")
-    for lam in lams:
-        v = dunkl_transform_F(mu, a, g, float(lam), n_nodes=max(args.nodes * 4, 200))
+    for lam, v in zip(lams, vals):
         print(f"{_fmt(float(lam))},{_fmt(v.real)},{_fmt(v.imag)}")
     return 0
 
 
+#: flags whose value may start with "-" (a negative grid start)
+_GRID_FLAGS = ("--x-grid", "--lambda-grid")
+_NEGATIVE_STARTS = tuple("-" + ch for ch in "0123456789.")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that joins ``--x-grid -3:4:8`` into ``--x-grid=-3:4:8``:
+    argparse reads a separate value starting with "-" as a flag unless it is
+    a plain negative number."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        out = []
+        for arg in args:
+            if out and out[-1] in _GRID_FLAGS and arg[:2] in _NEGATIVE_STARTS:
+                out[-1] = f"{out[-1]}={arg}"
+            else:
+                out.append(arg)
+        return super().parse_known_args(out, namespace)
+
+
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="rdunkl",
-                                 description="cyclic Dunkl operator calculus and checks")
+    ap = _Parser(prog="rdunkl", description="cyclic Dunkl operator calculus and checks")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="tabulate j, the kernel, or cos_r on a grid")
     _common_flags(p)
     p.add_argument("kind", choices=["j", "E", "cosr"])
     p.add_argument("--x-grid", type=str, required=True, help="start:stop:num or comma list")
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run a verification suite, emit JSON reports")
     _common_flags(p)
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("convert", help="translate between kappa and a coefficients")
     _common_flags(p)
     p.add_argument("--direction", choices=["kappa-to-a", "a-to-kappa"], required=True)
     p.add_argument("--values", type=str, required=True, help="comma list")
-    p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("transform", help="sample the r-Dunkl transform on a lambda grid")
     _common_flags(p)
@@ -189,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grid", type=str, required=True)
     p.add_argument("--input", type=str, default="gaussian",
                    help="gaussian or poly:c0,c1,...")
-    p.set_defaults(fn=cmd_transform)
     return ap
 
 
@@ -197,7 +247,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        return args.fn(args)
+        # resolved per call, not stored in the cached parser, so the names
+        # bound in this module at call time are the ones that run
+        command = {"eval": cmd_eval, "verify": cmd_verify, "convert": cmd_convert,
+                   "transform": cmd_transform}[args.command]
+        return command(args)
     except RdunklError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

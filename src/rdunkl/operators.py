@@ -108,6 +108,11 @@ def dunkl_kernel_series(mu: IndexVector, lam: complex, N: int) -> LaurentSeries:
     return lincomb(terms)
 
 
+def kernel_series_degree(r: int, zmax: float) -> int:
+    """Truncation degree of the kernel series for arguments |z| <= zmax."""
+    return r * (int(math.ceil(1.6 * zmax)) + 28)
+
+
 def dunkl_kernel_values(mu: IndexVector, z, N: int | None = None):
     """Point values of E_mu at complex arguments via the series."""
     from .series import evaluate
@@ -116,7 +121,7 @@ def dunkl_kernel_values(mu: IndexVector, z, N: int | None = None):
     z = np.asarray(z, dtype=complex)
     zmax = float(np.max(np.abs(z))) if z.size else 0.0
     if N is None:
-        N = mu.r * (int(math.ceil(1.6 * zmax)) + 28)
+        N = kernel_series_degree(mu.r, zmax)
     ser = dunkl_kernel_series(mu, 1.0, N)
     # cancellation guard: largest term magnitude against the result scale,
     # in logs so the peak term cannot itself overflow

@@ -141,3 +141,76 @@ def test_out_of_range_flags_exit_2_before_output(args, flag):
     assert out.returncode == 2
     assert out.stdout == ""
     assert flag in out.stderr
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from rdunkl.cli import build_parser, main
+
+    plain = ["eval", "j", "--r", "3", "--x-grid", "0:2:3"]
+    assert main(plain) == 0
+    first = capsys.readouterr().out
+    assert main(["eval", "j", "--r", "3", "--alpha", "0,0.5,0.25", "--x-grid", "0:2:3"]) == 0
+    assert capsys.readouterr().out != first
+    assert main(plain) == 0
+    assert capsys.readouterr().out == first
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(plain).alpha is None
+
+
+def test_commands_resolve_at_call_time(monkeypatch):
+    # the cached parser must not pin the command functions it saw when built,
+    # or a wrapper installed later (a tracer, a test double) is bypassed
+    from rdunkl import cli
+
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_convert", lambda args: seen.append(args.values) or 0)
+    assert cli.main(["convert", "--direction", "a-to-kappa", "--values", "0,3"]) == 0
+    assert seen == ["0,3"]
+
+
+@pytest.mark.parametrize("args,flag,grid", [
+    (("eval", "cosr", "--r", "3"), "--x-grid", "-3:4:8"),
+    (("eval", "j", "--r", "2", "--alpha", "0,0.5"), "--x-grid", "-2.5,-.5,1"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--a", "2", "--input", "poly:0,1"),
+     "--lambda-grid", "-3:3:41"),
+])
+def test_negative_grid_value_after_its_flag(args, flag, grid):
+    spaced = run_cli(*args, flag, grid)
+    joined = run_cli(*args, f"{flag}={grid}")
+    assert spaced.returncode == joined.returncode == 0
+    assert spaced.stdout == joined.stdout and spaced.stdout.startswith("x,re,im\n")
+
+
+def test_eval_refuses_an_unconverged_truncation():
+    # degree 2 prints 1 - x^2/2 where cos x is meant: 1, 0.5, -1, -3.5
+    out = run_cli("eval", "j", "--r", "2", "--alpha", "0,-0.5", "--x-grid", "0:3:4",
+                  "--degree", "2")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "--degree" in out.stderr
+
+
+def test_transform_refuses_before_printing():
+    out = run_cli("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid=9:10:2")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "lambda=9" in out.stderr and "rounding estimate" in out.stderr
+
+
+def test_transform_ignores_nodes_and_matches_quadrature():
+    from rdunkl.hilbert import ray_poly
+    from rdunkl.series import CyclicStructure
+    from rdunkl.special import IndexVector
+    from rdunkl.transforms import dunkl_transform_F
+
+    args = ("transform", "--r", "3", "--mu", "0,0.5666666666666667,-0.6666666666666666",
+            "--a", "2.7", "--lambda-grid=-3:3:7")
+    out = run_cli(*args)
+    assert out.returncode == 0 and run_cli(*args, "--nodes", "5").stdout == out.stdout
+    rows = [[float(v) for v in line.split(",")] for line in out.stdout.splitlines()[1:]]
+    mu = IndexVector(3, (0.0, 0.5666666666666667, -0.6666666666666666))
+    g = ray_poly(CyclicStructure(3), [1.0], decay_scale=0.5)
+    for lam, re, im in rows:
+        want = dunkl_transform_F(mu, 2.7, g, lam, n_nodes=400)
+        assert abs(complex(re, im) - want) <= 1e-12 * (1.0 + abs(want))

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +6,7 @@ from scipy.integrate import quad
 import rdunkl as rd
 from rdunkl._errors import ParameterError, SeriesOverflowError, TailWarning
 from rdunkl.hilbert import ray_poly
+from rdunkl.operators import kernel_series_degree
 from rdunkl.quadrature import gauss_legendre_rule
 from rdunkl.series import CyclicStructure
 from rdunkl.transforms import (
@@ -14,8 +16,10 @@ from rdunkl.transforms import (
     f_r_transform,
     factorization_residual,
     grade_transport_check,
+    _kernel_Tmax,
     laplace_theta,
     laplace_theta_inverse,
+    moment_transform,
 )
 from rdunkl.transmutation import build_V_star
 
@@ -296,3 +300,99 @@ def test_inverse_r3_rejected():
     with pytest.raises(ParameterError):
         dunkl_transform_inverse(rd.IndexVector(3, (0.0, 0.5, 0.9)), 2.7,
                                 lambda s: s, 1.0, grade_k=0)
+
+
+MOMENT_INDICES = {
+    2: (0.0, 0.5),
+    3: (0.0, 0.9 - 1 / 3, -2 / 3),
+    4: (0.0, 0.5, 0.5, 0.5),
+    5: (0.0, 0.2, 0.4, 0.6, 0.8),
+}
+
+
+def _moment_input(r, kind):
+    c = CyclicStructure(r)
+    if kind == "gaussian":
+        return ray_poly(c, [1.0], decay_scale=0.5)
+    return ray_poly(c, [0.5, 1.0, -0.25j])
+
+
+def _mp_moment_series(mu, a, g, lam, N):
+    """The moment series summed in mpmath, with the kernel coefficients from
+    their closed form e_{mr-k} = theta^(-k) b_m prod_{i<k} (mr - i + a_i),
+    b_m the coefficients of j_mu in x^r."""
+    r = mu.r
+    with mpmath.workdps(60):
+        theta = mpmath.exp(1j * mpmath.pi / r)
+        a_k = [r * mpmath.mpf(al) + k for k, al in enumerate(mu.alphas)]
+        b = [mpmath.mpf(1)]
+        for m in range(N // r + 1):
+            den = mpmath.mpf(r) ** r
+            for al in mu.alphas:
+                den *= mpmath.mpf(al) + 1 + m
+            b.append(-b[-1] / den)
+        s, lam, total = mpmath.mpf(g.decay_scale), mpmath.mpc(lam), mpmath.mpc(0)
+        for i, cd in enumerate(g.coeffs):
+            d = g.d_min + i
+            for n in range(N + 1):
+                if cd == 0 or (d + n) % r:
+                    continue
+                m = -(-n // r)
+                e_n = b[m] * theta ** (n - m * r)
+                for j in range(m * r - n):
+                    e_n *= m * r - j + a_k[j]
+                p = (d + n + mpmath.mpf(a) + 1) / r
+                total += mpmath.mpc(cd) * e_n * lam ** n * mpmath.gamma(p) * s ** (-p)
+        return complex(total)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["gaussian", "poly"])
+def test_moment_transform_matches_quadrature(r, kind):
+    mu = rd.IndexVector(r, MOMENT_INDICES[r])
+    g = _moment_input(r, kind)
+    lams = np.array([-1.7, 0.0, 0.6, 2.3, 1.2 + 0.6j, -0.4 - 1.1j])
+    for a in (0.0, 1.0, 2.0, 2.7):
+        got, err = moment_transform(mu, a, g, lams)
+        want = np.array([dunkl_transform_F(mu, a, g, lam, n_nodes=400) for lam in lams])
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        assert np.all(err <= 1e-10 * (1.0 + np.abs(got)))
+
+
+@pytest.mark.parametrize("r,kind,lam", [(2, "poly", 5.0), (4, "gaussian", 12.0)])
+def test_moment_transform_beyond_the_quadrature_range(r, kind, lam):
+    mu = rd.IndexVector(r, MOMENT_INDICES[r])
+    c = CyclicStructure(r)
+    g = ray_poly(c, [0.0, 1.0]) if kind == "poly" else ray_poly(c, [1.0], decay_scale=0.5)
+    with pytest.raises(SeriesOverflowError):
+        dunkl_transform_F(mu, 2.0, g, lam)
+    got, err = moment_transform(mu, 2.0, g, [lam])
+    N = kernel_series_degree(r, lam * _kernel_Tmax(c, g.decay_scale, lam))
+    want = _mp_moment_series(mu, 2.0, g, lam, N + 4 * r)
+    assert np.isfinite(err[0]) and abs(got[0] - want) <= err[0]
+
+
+@pytest.mark.parametrize("r,kind", [(2, "poly"), (4, "gaussian")])
+def test_moment_transform_overflow_regime_is_certified_or_refused(r, kind):
+    mu = rd.IndexVector(r, MOMENT_INDICES[r])
+    c = CyclicStructure(r)
+    g = ray_poly(c, [0.0, 1.0]) if kind == "poly" else ray_poly(c, [1.0], decay_scale=0.5)
+    lams = np.linspace(11.0, 12.0, 5)
+    got, err = moment_transform(mu, 2.0, g, lams)
+    N = kernel_series_degree(r, 12.0 * _kernel_Tmax(c, g.decay_scale, 12.0))
+    certified = np.isfinite(got) & (err <= 1e-10 * (1.0 + np.abs(got)))
+    for lam, v, e in zip(lams[certified], got[certified], err[certified]):
+        assert abs(v - _mp_moment_series(mu, 2.0, g, lam, N)) <= e
+    assert certified.any() == (r == 4)  # r = 4 certifies lam = 11, r = 2 refuses all
+
+
+def test_moment_transform_rejects_bad_parameters():
+    g = ray_poly(CyclicStructure(2), [1.0])
+    with pytest.raises(ParameterError):
+        moment_transform(rd.IndexVector(2, (0.3, 0.5)), 1.5, g, [1.0])
+    with pytest.raises(ParameterError):
+        moment_transform(rd.IndexVector(2, (0.0, 0.5)), -0.5, g, [1.0])
+    # x^-2 exp(-x^2) against t^0.5: the lam^0 moment diverges at the origin
+    with pytest.raises(ParameterError):
+        moment_transform(rd.IndexVector(2, (0.0, 0.5)), 0.5,
+                         ray_poly(CyclicStructure(2), [1.0], d_min=-2), [1.0])
