@@ -21,9 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import ParameterError
-from .quadrature import gauss_jacobi_rule
+from .operators import apply_D
+from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .reports import VerificationReport, make_report
-from .series import CyclicStructure
+from .series import (
+    CyclicStructure,
+    LaurentSeries,
+    add,
+    differentiate,
+    evaluate,
+    mul_x_power,
+    project_T,
+)
 from .special import IndexVector
 
 
@@ -37,91 +46,98 @@ class RayMap:
         return self._fn(m, np.asarray(t, dtype=float))
 
 
+def ray_power(g, p: int, c: CyclicStructure, conjugate: bool = False):
+    """x^p g, or conj(x)^p g with conjugate=True, read on each ray; g itself
+    when p = 0."""
+    if p == 0:
+        return g
+
+    def fn(m, t):
+        om = np.conj(c.omega_pow(m)) if conjugate else c.omega_pow(m)
+        return (om * t) ** p * g.on_ray(m, t)
+
+    return RayMap(fn)
+
+
+def ray_projection(g, k: int, c: CyclicStructure) -> RayMap:
+    """T_k g as the r-point average of g over the rotated rays."""
+
+    def fn(m, t):
+        acc = np.zeros(np.shape(t), dtype=complex)
+        for n in range(c.r):
+            acc = acc + c.omega_pow(n * k) * g.on_ray(m + n, t)
+        return acc / c.r
+
+    return RayMap(fn)
+
+
+def ray_lincomb(terms, scale: float = 1.0) -> RayMap:
+    """scale * sum_i w_i g_i over the pairs (w_i, g_i) in terms."""
+
+    def fn(m, t):
+        acc = np.zeros(np.shape(t), dtype=complex)
+        for w, term in terms:
+            acc = acc + w * term.on_ray(m, t)
+        return scale * acc
+
+    return RayMap(fn)
+
+
 @dataclass(frozen=True)
 class RayTestFunction:
-    """Laurent polynomial times exp(-decay_scale * x^r)."""
+    """Laurent polynomial ``poly`` times exp(-decay_scale * x^r).
+
+    A polynomial is exact at every stored degree, so the watermark of
+    ``poly`` is reset to its top degree whatever operations produced it.
+    """
 
     c: CyclicStructure
-    d_min: int
-    coeffs: np.ndarray
+    poly: LaurentSeries
     decay_scale: float = 1.0
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise ParameterError("coeffs must be a nonempty 1-d array")
         if self.decay_scale <= 0:
             raise ParameterError("decay_scale must be positive")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def d_max(self) -> int:
-        return self.d_min + len(self.coeffs) - 1
-
-    def poly_at(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        lo = max(self.d_min, 0)
-        val = np.zeros_like(z)
-        for n in range(self.d_max, lo - 1, -1):  # Horner down to the lowest
-            val = val * z + (self.coeffs[n - self.d_min] if n >= self.d_min else 0.0)
-        if lo > 0:
-            val = val * z ** lo
-        head = np.zeros_like(z)
-        for n in range(self.d_min, min(self.d_max, -1) + 1):  # principal part
-            head = head + self.coeffs[n - self.d_min] * z ** float(n)
-        return val + head
+        p = self.poly
+        object.__setattr__(self, "poly", LaurentSeries(p.n_min, p.coeffs, p.n_max))
 
     def on_ray(self, m: int, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         z = self.c.omega_pow(m) * t
-        return self.poly_at(z) * np.exp(-self.decay_scale * t ** self.c.r)
+        return evaluate(self.poly, z) * np.exp(-self.decay_scale * t ** self.c.r)
 
 
 def ray_poly(c: CyclicStructure, coeffs, d_min: int = 0, decay_scale: float = 1.0) -> RayTestFunction:
-    return RayTestFunction(c, d_min, np.asarray(coeffs, dtype=complex), decay_scale)
+    return RayTestFunction(c, LaurentSeries(d_min, coeffs), decay_scale)
+
+
+def _with_decay_term(f: RayTestFunction, dp: LaurentSeries) -> RayTestFunction:
+    """The image of f = p exp(-s x^r) under a first-order operator of the
+    family (d/dx, the Dunkl operator) whose image of p is dp.  The
+    exponential has grade 0, so the operator adds only the term
+    -s r x^(r-1) p from differentiating it."""
+    r, s = f.c.r, f.decay_scale
+    decay = LaurentSeries(f.poly.n_min + r - 1, -(s * r) * f.poly.coeffs)
+    return RayTestFunction(f.c, add(dp, decay), s)
 
 
 def ray_ddx(f: RayTestFunction) -> RayTestFunction:
     """d/dx on the family: p -> p' - s r x^(r-1) p."""
-    r, s = f.c.r, f.decay_scale
-    lo = f.d_min - 1
-    hi = f.d_max + r - 1
-    out = np.zeros(hi - lo + 1, dtype=complex)
-    for idx, n in enumerate(range(f.d_min, f.d_max + 1)):
-        cn = f.coeffs[idx]
-        out[n - 1 - lo] += n * cn
-        out[n + r - 1 - lo] -= s * r * cn
-    return RayTestFunction(f.c, lo, out, s)
+    return _with_decay_term(f, differentiate(f.poly))
 
 
 def ray_mul_power(f: RayTestFunction, p: int) -> RayTestFunction:
-    return RayTestFunction(f.c, f.d_min + p, f.coeffs, f.decay_scale)
+    return RayTestFunction(f.c, mul_x_power(f.poly, p), f.decay_scale)
 
 
 def ray_project(f: RayTestFunction, k: int) -> RayTestFunction:
-    degs = np.arange(f.d_min, f.d_max + 1)
-    mask = (degs + k) % f.c.r == 0
-    return RayTestFunction(f.c, f.d_min, np.where(mask, f.coeffs, 0.0), f.decay_scale)
-
-
-def ray_add(f: RayTestFunction, g: RayTestFunction, wf=1.0, wg=1.0) -> RayTestFunction:
-    if f.decay_scale != g.decay_scale:
-        raise ParameterError("cannot combine different decay scales")
-    lo = min(f.d_min, g.d_min)
-    hi = max(f.d_max, g.d_max)
-    out = np.zeros(hi - lo + 1, dtype=complex)
-    out[f.d_min - lo : f.d_max - lo + 1] += wf * f.coeffs
-    out[g.d_min - lo : g.d_max - lo + 1] += wg * g.coeffs
-    return RayTestFunction(f.c, lo, out, f.decay_scale)
+    return RayTestFunction(f.c, project_T(f.poly, k, f.c), f.decay_scale)
 
 
 def ray_dunkl(mu: IndexVector, f: RayTestFunction) -> RayTestFunction:
-    """D_mu on the family: f' + sum_k a_k x^(-1) T_k f, exact on coefficients."""
-    out = ray_ddx(f)
-    for k in range(mu.r):
-        if mu.a[k] != 0.0:
-            out = ray_add(out, ray_mul_power(ray_project(f, k), -1), 1.0, mu.a[k])
-    return out
+    """D_mu on the family: (D_mu p) exp(-s x^r) - s r x^(r-1) p exp(-s x^r),
+    exact on coefficients."""
+    return _with_decay_term(f, apply_D(mu, f.poly))
 
 
 @dataclass(frozen=True)
@@ -167,18 +183,19 @@ class WeightedInnerProduct:
         object.__setattr__(self, "weights", self.Tmax ** self.a * rule.weights)
 
 
+def _ray_sum(f, g, t: np.ndarray, c: CyclicStructure) -> np.ndarray:
+    """sum_m f(omega^m t) conj(g(omega^m t)) at the nodes t."""
+    acc = np.zeros_like(t, dtype=complex)
+    for m in range(c.r):
+        acc += f.on_ray(m, t) * np.conj(g.on_ray(m, t))
+    return acc
+
+
 def inner_product(f, g, ip: WeightedInnerProduct, c: CyclicStructure) -> complex:
     """<f, g>_a; conjugate-linear in g."""
-
-    def s(t):
-        acc = np.zeros_like(t, dtype=complex)
-        for m in range(c.r):
-            acc += f.on_ray(m, t) * np.conj(g.on_ray(m, t))
-        return acc
-
     # one power of t moves into the Jacobi weight: integrate t^(a-1) * (t s(t))
     t = ip.nodes
-    return complex(np.sum(ip.weights * t * s(t)))
+    return complex(np.sum(ip.weights * t * _ray_sum(f, g, t, c)))
 
 
 def inner_product_plain(f, g, a: float, Tmax: float, n_nodes: int,
@@ -187,14 +204,9 @@ def inner_product_plain(f, g, a: float, Tmax: float, n_nodes: int,
     integrand.  Used when g behaves like t^(-a) near the origin (adjoints of
     the fractional means do), where the product t^a f conj(g) is the smooth
     quantity."""
-    from .quadrature import gauss_legendre_rule
-
     rule = gauss_legendre_rule(n_nodes, 0.0, Tmax)
     t = rule.nodes
-    acc = np.zeros_like(t, dtype=complex)
-    for m in range(c.r):
-        acc += f.on_ray(m, t) * np.conj(g.on_ray(m, t))
-    return complex(np.sum(rule.weights * t ** a * acc))
+    return complex(np.sum(rule.weights * t ** a * _ray_sum(f, g, t, c)))
 
 
 def apply_D_star(mu: IndexVector, a: float, f, ray_twist: bool = True) -> RayMap:
@@ -301,20 +313,13 @@ def dunkl_antisymmetry_residual(mu: IndexVector, ip: WeightedInnerProduct,
 def multiplication_adjoint_residuals(f: RayTestFunction, g: RayTestFunction,
                                      ip: WeightedInnerProduct, c: CyclicStructure) -> tuple[float, float]:
     """Residuals of <f, (1/x) g> = <(1/conj(x)) f, g> and <f, x g> = <conj(x) f, g>."""
-
-    def conj_x_pow(h, p):
-        def fn(m, t):
-            return (np.conj(c.omega_pow(m)) * t) ** p * h.on_ray(m, t)
-
-        return RayMap(fn)
-
     r1 = abs(
         inner_product(f, ray_mul_power(g, -1), ip, c)
-        - inner_product(conj_x_pow(f, -1), g, ip, c)
+        - inner_product(ray_power(f, -1, c, conjugate=True), g, ip, c)
     )
     r2 = abs(
         inner_product(f, ray_mul_power(g, 1), ip, c)
-        - inner_product(conj_x_pow(f, 1), g, ip, c)
+        - inner_product(ray_power(f, 1, c, conjugate=True), g, ip, c)
     )
     return r1, r2
 
@@ -322,4 +327,4 @@ def multiplication_adjoint_residuals(f: RayTestFunction, g: RayTestFunction,
 def _random_test_function(c: CyclicStructure, rng, max_degree: int = 6) -> RayTestFunction:
     deg = int(rng.integers(2, max_degree + 1))
     coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-    return RayTestFunction(c, 0, coeffs, 1.0)
+    return ray_poly(c, coeffs)

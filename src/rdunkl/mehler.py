@@ -21,7 +21,7 @@ from ._errors import ParameterError
 from .quadrature import gauss_jacobi_rule
 from .reports import VerificationReport, make_report
 from .special import IndexVector, cos_r_value, gamma_ratio
-from .operators import chain_expansion_coeffs
+from .operators import v_terms
 
 _A_ZERO_TOL = 1e-12
 #: most tensor nodes evaluated at once; bounds the quadrature's working memory
@@ -109,14 +109,11 @@ def _kernel_coeffs(mu: IndexVector, x: complex) -> np.ndarray:
     """c_0..c_{r-1} of the grouped kernel integrand sum_m c_m u^m S_m: the
     chain terms (P_j^(k)/theta^j) x^(-j) u^(k-j) collected by m = k - j,
     including the k = 0 term, and divided by r from the group average."""
-    r, theta = mu.r, mu.cyclic.theta
-    coef = np.zeros(r, dtype=complex)
+    coef = np.zeros(mu.r, dtype=complex)
     coef[0] = 1.0
-    for k in range(1, r):
-        P = chain_expansion_coeffs(mu.a[:k])
-        for j in range(k + 1):
-            coef[k - j] += P[j] / theta ** j * complex(x) ** (-j)
-    return coef / r
+    for k, j, pj in v_terms(mu):
+        coef[k - j] += pj * complex(x) ** (-j)
+    return coef / mu.r
 
 
 def mehler_E(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:

@@ -18,12 +18,12 @@ import math
 
 import numpy as np
 
-from ._errors import ParameterError
+from ._errors import ParameterError, SeriesOverflowError
 from .series import (
     CyclicStructure,
     LaurentSeries,
-    add,
     differentiate,
+    evaluate,
     lincomb,
     mul_x_power,
     project_T,
@@ -113,28 +113,32 @@ def kernel_series_degree(r: int, zmax: float) -> int:
     return r * (int(math.ceil(1.6 * zmax)) + 28)
 
 
+def kernel_log_peak(ser: LaurentSeries, zmax: float) -> float:
+    """log max_n |c_n| zmax^max(n, 0) over the trustworthy degrees of a
+    kernel series, or -inf when they all vanish.  Computed in logs, so the
+    peak term cannot itself overflow; the kernel-cancellation guards compare
+    it against their own thresholds."""
+    top = min(ser.valid_order, ser.n_max)
+    degs = np.arange(ser.n_min, top + 1)
+    mags = np.abs(ser.coeffs[: top - ser.n_min + 1])
+    nz = mags > 0
+    if not np.any(nz):
+        return -np.inf
+    return float(np.max(np.log(mags[nz]) + np.clip(degs[nz], 0, None) * np.log(zmax)))
+
+
 def dunkl_kernel_values(mu: IndexVector, z, N: int | None = None):
     """Point values of E_mu at complex arguments via the series."""
-    from .series import evaluate
-    from ._errors import SeriesOverflowError
-
     z = np.asarray(z, dtype=complex)
     zmax = float(np.max(np.abs(z))) if z.size else 0.0
     if N is None:
         N = kernel_series_degree(mu.r, zmax)
     ser = dunkl_kernel_series(mu, 1.0, N)
-    # cancellation guard: largest term magnitude against the result scale,
-    # in logs so the peak term cannot itself overflow
     vals = evaluate(ser, z)
-    top = min(ser.valid_order, ser.n_max)
-    degs = np.arange(ser.n_min, top + 1)
-    cfs = ser.coeffs[: top - ser.n_min + 1]
-    mags = np.abs(cfs)
-    nz = mags > 0
-    if zmax > 1.0 and np.any(nz):
-        log_peak = float(np.max(np.log(mags[nz]) + np.clip(degs[nz], 0, None) * np.log(zmax)))
+    # cancellation guard: largest term magnitude against the result scale
+    if zmax > 1.0:
         scale = max(float(np.min(np.abs(np.atleast_1d(vals)))), 1e-300)
-        if log_peak - np.log(scale) > np.log(1e12):
+        if kernel_log_peak(ser, zmax) - np.log(scale) > np.log(1e12):
             raise SeriesOverflowError(
                 f"kernel evaluation at |z| <= {zmax:.3g} loses more than 12 digits; "
                 f"reliable range is roughly |z| < 30"
@@ -232,6 +236,23 @@ def chain_expansion_coeffs(a_prefix) -> list[float]:
             acc -= P[k - l] * (math.factorial(s) // math.factorial(s - l))
         P[k - s] = acc / math.factorial(s)
     return P
+
+
+def v_terms(mu: IndexVector) -> list[tuple[int, int, complex]]:
+    """The correction terms (k, j, P_j^(k)/theta^j) of the transmutation
+    operator V for k = 1..r-1 and j = 0..k, with P^(k) the expansion
+    coefficients of the length-k lowering chain L_{a_{k-1}} o ... o L_{a_0};
+    terms with P_j^(k) = 0 are skipped.  The same list gives the Mehler form
+    of the kernel E_mu.  A list, not a generator, so callers may read it
+    more than once."""
+    theta = mu.cyclic.theta
+    terms = []
+    for k in range(1, mu.r):
+        P = chain_expansion_coeffs(mu.a[:k])
+        for j in range(k + 1):
+            if P[j] != 0.0:
+                terms.append((k, j, P[j] / theta ** j))
+    return terms
 
 
 def chain_expansion_closed_form(a_prefix) -> list[float]:

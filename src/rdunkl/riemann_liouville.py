@@ -61,11 +61,16 @@ def apply_R_quadrature(alpha: float, g, x: complex | np.ndarray, r: int,
     """
     rule = gauss_jacobi_rule(alpha - 1.0, 0.0, n_nodes)
     t = rule.nodes
+    out = _row_sums(g, np.outer(x, t), rule.weights * _Q(t, r) ** (alpha - 1.0))
+    return complex(out[0]) if np.ndim(x) == 0 else out
+
+
+def _Q(t: np.ndarray, r: int) -> np.ndarray:
+    """Q(t) = 1 + t + ... + t^(r-1), the smooth factor of 1 - t^r = (1 - t) Q(t)."""
     Q = np.ones_like(t)
     for j in range(1, r):
         Q += t ** j
-    out = _row_sums(g, np.outer(x, t), rule.weights * Q ** (alpha - 1.0))
-    return complex(out[0]) if np.ndim(x) == 0 else out
+    return Q
 
 
 def _row_sums(g, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -95,11 +100,8 @@ def _inner_integral(k: int, alpha: float, g, x: float, r: int, n_nodes: int) -> 
     # weight and the smooth Q(s)^(-alpha) stays in the integrand
     rule = gauss_jacobi_rule(-alpha, (k + alpha) * r, n_nodes)
     s = rule.nodes
-    Q = np.ones_like(s)
-    for j in range(1, r):
-        Q += s ** j
     vals = np.asarray(g(x * s), dtype=float)
-    return float(x ** (1 + k * r) * np.sum(rule.weights * Q ** (-alpha) * vals))
+    return float(x ** (1 + k * r) * np.sum(rule.weights * _Q(s, r) ** (-alpha) * vals))
 
 
 def apply_R_inverse_derivative_form(

@@ -75,18 +75,15 @@ class LaurentSeries:
             self._check_grade()
 
     def _check_grade(self):
-        scale = np.max(np.abs(self.coeffs))
+        mags = np.abs(self.coeffs)
+        scale = np.max(mags)
         if scale == 0.0:
             return
-        bad = [
-            n
-            for n in self.degrees
-            if (n + self.grade) % self.r != 0
-            and abs(self[n]) > GRADE_ZERO_TOL * scale
-        ]
-        if bad:
+        degs = np.arange(self.n_min, self.n_max + 1)
+        bad = degs[((degs + self.grade) % self.r != 0) & (mags > GRADE_ZERO_TOL * scale)]
+        if bad.size:
             raise ParameterError(
-                f"grade {self.grade} tag inconsistent with support at degrees {bad[:4]}"
+                f"grade {self.grade} tag inconsistent with support at degrees {bad[:4].tolist()}"
             )
 
     @property
@@ -206,10 +203,12 @@ def evaluate(f: LaurentSeries, x) -> complex | np.ndarray:
     degs = np.arange(f.n_min, top + 1)
     if f.n_min < 0 and np.any(np.abs(coeffs[degs < 0]) > 0) and np.any(x == 0):
         raise DomainError("evaluation at 0 with nonzero principal part")
-    reg = coeffs[degs >= 0]
+    reg = coeffs[degs >= 0]  # degrees max(n_min, 0) .. top
     val = np.zeros_like(x)
     for cn in reg[::-1]:
         val = val * x + cn
+    if f.n_min > 0:
+        val = val * x ** f.n_min
     pp = coeffs[degs < 0]  # degrees n_min .. -1
     if pp.size:
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -22,13 +22,13 @@ import warnings
 import numpy as np
 from scipy.special import gammaln
 
-from ._errors import ParameterError, TailWarning
+from ._errors import ParameterError, SeriesOverflowError, TailWarning
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .reports import KIND_MEASURED, VerificationReport, make_report
 from .series import CyclicStructure, evaluate
 from .special import IndexVector
 from .hilbert import RayMap, RayTestFunction, ray_dunkl
-from .operators import dunkl_kernel_series, kernel_series_degree
+from .operators import dunkl_kernel_series, kernel_log_peak, kernel_series_degree
 from .riemann_liouville import apply_R_adjoint
 from .transmutation import build_V_star
 
@@ -143,7 +143,11 @@ def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
     zmax = abs(lam) * Tmax
     N = series_N if series_N is not None else kernel_series_degree(c.r, zmax)
     ker = dunkl_kernel_series(mu, 1.0, N)
-    _guard_kernel_eval(ker, zmax)
+    if zmax > 1.0 and kernel_log_peak(ker, zmax) > np.log(1e12):
+        raise SeriesOverflowError(
+            f"kernel series evaluation at |z| <= {zmax:.3g} would lose more than "
+            f"12 digits; keep |lam| * Tmax below roughly 30"
+        )
 
     def kern(m, t):
         return evaluate(ker, lam * c.omega_pow(m) * t)
@@ -184,16 +188,17 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
         r, lam_abs * _kernel_Tmax(c, s, lam_abs)))
     e = ker.coeffs[-ker.n_min: min(ker.valid_order, ker.n_max) - ker.n_min + 1]  # degrees >= 0
     n = np.arange(len(e))
-    d = g.d_min + np.arange(len(g.coeffs))
+    gc = g.poly.coeffs
+    d = g.poly.n_min + np.arange(len(gc))
     p = (d[:, None] + n + a + 1.0) / r
-    paired = ((d[:, None] + n) % r == 0) & (g.coeffs[:, None] != 0) & (e != 0)
+    paired = ((d[:, None] + n) % r == 0) & (gc[:, None] != 0) & (e != 0)
     if np.any(paired & (p <= 0)):
         raise ParameterError("the transform integral diverges at the origin for this input")
     # |e_n| Gamma(p) s^(-p) in logs: Gamma overflows where e_n underflows
     e_abs = np.abs(e)
     with np.errstate(divide="ignore"):
         log_mag = np.log(e_abs) + gammaln(np.where(paired, p, 1.0)) - p * np.log(s)
-    coef = np.exp(1j * np.angle(e)) * (g.coeffs @ np.exp(np.where(paired, log_mag, -np.inf)))
+    coef = np.exp(1j * np.angle(e)) * (gc @ np.exp(np.where(paired, log_mag, -np.inf)))
     lam_mag, coef_mag = np.abs(lams), np.abs(coef)
     vals = np.zeros_like(lams)
     mags = np.zeros(lams.shape)
@@ -202,26 +207,6 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
             vals = vals * lams + coef[k]
             mags = mags * lam_mag + coef_mag[k]
     return vals, 100.0 * np.finfo(float).eps * mags
-
-
-def _guard_kernel_eval(ker, zmax: float):
-    from ._errors import SeriesOverflowError
-
-    if zmax <= 1.0:
-        return
-    degs = np.arange(ker.n_min, min(ker.valid_order, ker.n_max) + 1)
-    cfs = ker.coeffs[: len(degs)]
-    mags = np.abs(cfs)
-    nz = mags > 0
-    if not np.any(nz):
-        return
-    # work in logs: the peak term itself can overflow a double
-    log_peak = float(np.max(np.log(mags[nz]) + np.clip(degs[nz], 0, None) * np.log(zmax)))
-    if log_peak > np.log(1e12):
-        raise SeriesOverflowError(
-            f"kernel series evaluation at |z| <= {zmax:.3g} would lose more than "
-            f"12 digits; keep |lam| * Tmax below roughly 30"
-        )
 
 
 def factorization_residual(mu: IndexVector, a: float, g, lam: complex,

@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._errors import DomainError, ParameterError, SingularError
-from .hilbert import RayMap
+from .hilbert import RayMap, ray_lincomb, ray_power, ray_projection
 from .mehler import MehlerWeight
-from .operators import apply_D, chain_expansion_coeffs, dunkl_kernel_series
+from .operators import apply_D, dunkl_kernel_series, v_terms
 from .reports import (
     KIND_EXCEEDS_FLOOR,
     KIND_MEASURED,
@@ -34,9 +34,9 @@ from .riemann_liouville import apply_R_adjoint, apply_R_quadrature, l_coefficien
 from .series import (
     CyclicStructure,
     LaurentSeries,
-    add,
     differentiate,
     exp_series,
+    lincomb,
     series_residual,
 )
 from .special import IndexVector
@@ -53,7 +53,6 @@ class TransmutationMap:
     def __init__(self, mu: IndexVector, N: int):
         weight = MehlerWeight(mu)  # validates alpha_i + i/r > 0 on included dims
         r = mu.r
-        theta = mu.cyclic.theta
         self.mu = mu
         self.N = N
         has_neg = abs(mu.a[0]) > 1e-12
@@ -68,29 +67,29 @@ class TransmutationMap:
                 out *= l_coefficient(n + r - i - 1, beta, r)
             return out
 
-        self._lambda = chain_factor
         c_norm = weight.c_norm
+        terms = v_terms(mu)
         for n in range(N + 1):
             if n % r == 0:
                 M[n - self.row_min, n] += c_norm * chain_factor(n)
-            for k in range(1, r):
-                P = chain_expansion_coeffs(mu.a[:k])
-                for j in range(k + 1):
-                    if P[j] == 0.0 or (n - j) % r != (-k) % r:
-                        continue
-                    M[n - j - self.row_min, n] += c_norm * (P[j] / theta ** j) * chain_factor(n + k - j)
+            for k, j, coef in terms:
+                if (n - j) % r == (-k) % r:
+                    M[n - j - self.row_min, n] += c_norm * coef * chain_factor(n + k - j)
         self.matrix = M
         self.c_norm = c_norm
+
+    def _columns(self, f: LaurentSeries) -> np.ndarray:
+        """Coefficients of f over the input degrees 0..N."""
+        vec = np.zeros(self.N + 1, dtype=complex)
+        lo, hi = max(f.n_min, 0), min(f.n_max, self.N)
+        if hi >= lo:
+            vec[lo : hi + 1] = f.coeffs[lo - f.n_min : hi - f.n_min + 1]
+        return vec
 
     def apply(self, f: LaurentSeries) -> LaurentSeries:
         if f.n_min < 0 and f.has_principal_part(1e-300):
             raise DomainError("V acts on series without a principal part")
-        vec = np.zeros(self.N + 1, dtype=complex)
-        lo = max(f.n_min, 0)
-        hi = min(f.n_max, self.N)
-        if hi >= lo:
-            vec[lo : hi + 1] = f.coeffs[lo - f.n_min : hi - f.n_min + 1]
-        out = self.matrix @ vec
+        out = self.matrix @ self._columns(f)
         # rows near the top miss contributions from truncated columns
         valid = min(f.valid_order, self.N) - (self.mu.r - 1)
         return LaurentSeries(self.row_min, out, valid)
@@ -101,11 +100,7 @@ class TransmutationMap:
             raise DomainError("the inverse needs a series without principal part")
         if self.row_min < 0:
             raise ParameterError("triangular inverse requires alpha_0 = 0")
-        rhs = np.zeros(self.N + 1, dtype=complex)
-        lo = max(f.n_min, 0)
-        hi = min(f.n_max, self.N)
-        if hi >= lo:
-            rhs[lo : hi + 1] = f.coeffs[lo - f.n_min : hi - f.n_min + 1]
+        rhs = self._columns(f)
         g = np.zeros(self.N + 1, dtype=complex)
         r = self.mu.r
         for m in range(self.N, -1, -1):
@@ -211,11 +206,7 @@ def v_maps_exp_to_kernel_check(mu: IndexVector, lam: complex, N: int,
 
 def _kernel_map_exact(mu: IndexVector) -> bool:
     # true when every surviving expansion coefficient with j >= 1 vanishes
-    for k in range(1, mu.r):
-        P = chain_expansion_coeffs(mu.a[:k])
-        if any(abs(p) > 1e-14 for p in P[1:]):
-            return False
-    return True
+    return all(abs(coef) <= 1e-14 for _, j, coef in v_terms(mu) if j >= 1)
 
 
 def transmutation_residual(mu: IndexVector, f: LaurentSeries, N: int) -> VerificationReport:
@@ -269,14 +260,9 @@ def fourier_condition_value(coeffs: dict, c: CyclicStructure) -> float:
 
 def fourier_sum_series(coeffs: dict, period: float, N: int) -> LaurentSeries:
     """Series of sum_n c_n exp(2 pi i n x / period) through degree N."""
-    acc = None
-    for n, v in coeffs.items():
-        term = exp_series(2j * np.pi * n / period, N)
-        term = LaurentSeries(term.n_min, v * term.coeffs, term.valid_order)
-        acc = term if acc is None else add(acc, term)
-    if acc is None:
+    if not coeffs:
         raise ParameterError("need at least one Fourier coefficient")
-    return acc
+    return lincomb((v, exp_series(2j * np.pi * n / period, N)) for n, v in coeffs.items())
 
 
 def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, Tmax: float = 8.0,
@@ -293,14 +279,7 @@ def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, Tmax: float = 8.0
     weight = MehlerWeight(mu)
     r = mu.r
     c = mu.cyclic
-    theta = c.theta
-
-    def mul_pow(g, p):
-        def fn(m, t):
-            base = np.conj(c.omega_pow(m)) * t if conjugate else c.omega_pow(m) * t
-            return base ** p * g.on_ray(m, t)
-
-        return RayMap(fn)
+    terms = v_terms(mu)
 
     # the chain adjoint: reversed product of conj(x)^(r-i-1) R* conj(x)^-(r-i-1)
     def chain_star(g):
@@ -308,41 +287,18 @@ def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, Tmax: float = 8.0
         for i in reversed(weight.included):
             beta = mu.alphas[i] + i / r
             p = r - i - 1
-            stepped = _ray_r_star(mul_pow(out, -p) if p else out, beta, a, r, c, n_nodes, Tmax)
-            out = mul_pow(stepped, p) if p else stepped
+            stepped = _ray_r_star(ray_power(out, -p, c, conjugate), beta, a, r, c, n_nodes, Tmax)
+            out = ray_power(stepped, p, c, conjugate)
         return out
 
-    def project(g, k):
-        def fn(m, t):
-            acc = np.zeros(np.shape(t), dtype=complex)
-            for n in range(r):
-                acc = acc + c.omega_pow(n * k) * g.on_ray(m + n, t)
-            return acc / r
-
-        return RayMap(fn)
-
     def apply(g) -> RayMap:
-        terms = []
         # k = 0 term: (T_0 CHAIN)* = CHAIN* T_0
-        terms.append((1.0, chain_star(project(g, 0))))
-        for k in range(1, r):
-            P = chain_expansion_coeffs(mu.a[:k])
-            for j in range(k + 1):
-                if P[j] == 0.0:
-                    continue
-                scal = P[j] / theta ** j
-                if conjugate:
-                    scal = np.conj(scal)
-                inner = chain_star(mul_pow(project(g, k), -k))
-                terms.append((scal, mul_pow(inner, k - j)))
-
-        def fn(m, t):
-            acc = np.zeros(np.shape(t), dtype=complex)
-            for w, term in terms:
-                acc = acc + w * term.on_ray(m, t)
-            return weight.c_norm * acc
-
-        return RayMap(fn)
+        out = [(1.0, chain_star(ray_projection(g, 0, c)))]
+        for k, j, coef in terms:
+            inner = chain_star(ray_power(ray_projection(g, k, c), -k, c, conjugate))
+            out.append((np.conj(coef) if conjugate else coef,
+                        ray_power(inner, k - j, c, conjugate)))
+        return ray_lincomb(out, weight.c_norm)
 
     return apply
 
@@ -354,13 +310,7 @@ def build_V_ray(mu: IndexVector, n_nodes: int = 48):
     weight = MehlerWeight(mu)
     r = mu.r
     c = mu.cyclic
-    theta = c.theta
-
-    def mul_pow(g, p):
-        def fn(m, t):
-            return (c.omega_pow(m) * t) ** p * g.on_ray(m, t)
-
-        return RayMap(fn)
+    terms = v_terms(mu)
 
     def r_mean(g, beta):
         def fn(m, t):
@@ -374,36 +324,15 @@ def build_V_ray(mu: IndexVector, n_nodes: int = 48):
         for i in weight.included:
             beta = mu.alphas[i] + i / r
             p = r - i - 1
-            out = r_mean(mul_pow(out, p) if p else out, beta)
-            out = mul_pow(out, -p) if p else out
+            out = ray_power(r_mean(ray_power(out, p, c), beta), -p, c)
         return out
 
-    def project(g, k):
-        def fn(m, t):
-            acc = np.zeros(np.shape(t), dtype=complex)
-            for n in range(r):
-                acc = acc + c.omega_pow(n * k) * g.on_ray(m + n, t)
-            return acc / r
-
-        return RayMap(fn)
-
     def apply(g) -> RayMap:
-        terms = [(1.0, project(chain(g), 0))]
-        for k in range(1, r):
-            P = chain_expansion_coeffs(mu.a[:k])
-            for j in range(k + 1):
-                if P[j] == 0.0:
-                    continue
-                inner = mul_pow(chain(mul_pow(g, k - j)), -k)
-                terms.append((P[j] / theta ** j, project(inner, k)))
-
-        def fn(m, t):
-            acc = np.zeros(np.shape(t), dtype=complex)
-            for w, term in terms:
-                acc = acc + w * term.on_ray(m, t)
-            return weight.c_norm * acc
-
-        return RayMap(fn)
+        out = [(1.0, ray_projection(chain(g), 0, c))]
+        for k, j, coef in terms:
+            inner = ray_power(chain(ray_power(g, k - j, c)), -k, c)
+            out.append((coef, ray_projection(inner, k, c)))
+        return ray_lincomb(out, weight.c_norm)
 
     return apply
 

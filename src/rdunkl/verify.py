@@ -415,7 +415,8 @@ def suite_transform(r, seed, nodes, degree, tol_scale=1.0):
     g0 = _random_test_function(CyclicStructure(r), rng)
     lam0 = 0.9
     v1 = tf.f_r_transform(g0, lam0, a=0.0)
-    v2 = tf.f_r_transform(ray_poly(CyclicStructure(r), 2.5j * g0.coeffs, g0.d_min), lam0, a=0.0)
+    g1 = ray_poly(CyclicStructure(r), 2.5j * g0.poly.coeffs, g0.poly.n_min)
+    v2 = tf.f_r_transform(g1, lam0, a=0.0)
     out.append(make_report("transform.linearity", {"r": r}, abs(2.5j * v1 - v2),
                            1e-12 * tol_scale))
     if r == 2:

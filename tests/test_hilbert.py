@@ -178,26 +178,30 @@ def test_ray_family_closure_operations():
     assert np.max(np.abs(ray_ddx(f).on_ray(0, t) - fd)) < 1e-7
     # projection keeps only matching degrees
     p = ray_project(f, 1)
-    assert p.coeffs[2] == 0.5 and p.coeffs[0] == 0.0
+    assert p.poly.coeffs[2] == 0.5 and p.poly.coeffs[0] == 0.0
     # power shifts
     assert np.max(np.abs(ray_mul_power(f, 2).on_ray(0, t) - t ** 2 * f.on_ray(0, t))) < 1e-14
 
 
-def test_dunkl_on_family_matches_pointwise_definition():
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("coeffs,d_min", [
+    ([0.0, 1.0, 0.0, 0.0, 2.0], 0),
+    ([0.5, 1.0, 0.0, 0.0, 2.0], -1),
+], ids=["regular", "principal"])
+def test_dunkl_on_family_matches_pointwise_definition(r, coeffs, d_min):
     # the family-level Dunkl action against finite differences of the closed
     # form plus the explicit projector terms, ray by ray
-    r = 3
     c = CyclicStructure(r)
-    mu = rd.IndexVector(r, (0.3, 0.8, 1.1))
-    f = ray_poly(c, [0.0, 1.0, 0.0, 0.0, 2.0])
+    mu = rd.IndexVector(r, (0.3, 0.8, 1.1, 0.6, 0.9)[:r])
+    f = ray_poly(c, coeffs, d_min)
     df = ray_dunkl(mu, f)
     t = np.linspace(0.3, 1.5, 4)
     h = 1e-6
     for m in range(r):
         om = c.omega_pow(m)
         # d/dz along the ray: (d/dt f(om t)) / om
-        num = (f.poly_at(om * (t + h)) * np.exp(-(t + h) ** r)
-               - f.poly_at(om * (t - h)) * np.exp(-(t - h) ** r)) / (2 * h) / om
+        num = (rd.evaluate(f.poly, om * (t + h)) * np.exp(-(t + h) ** r)
+               - rd.evaluate(f.poly, om * (t - h)) * np.exp(-(t - h) ** r)) / (2 * h) / om
         proj_term = np.zeros_like(t, dtype=complex)
         for k in range(r):
             proj_term += mu.a[k] * ray_project(f, k).on_ray(m, t)

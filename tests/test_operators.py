@@ -6,7 +6,9 @@ from rdunkl.operators import (
     apply_D_compositional,
     apply_L_chain,
     chain_expansion_closed_form,
+    kernel_log_peak,
     power_identity_residual,
+    v_terms,
 )
 from rdunkl.series import monomial
 
@@ -199,6 +201,31 @@ def test_chain_expansion_identity_on_monomials(k):
         for j in range(k + 1):
             rhs += P[j] * fall[k - j]
         assert abs(lhs[m - k] - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+
+
+def test_v_terms_list_and_values():
+    # mu = (0, v - 1/3, -2/3) at r = 3: a = (0, 3v, 0), so P^(1) = (1, 0) and
+    # P^(2) = (1, 3v, 0); the vanishing coefficients are skipped
+    v = 0.9
+    mu = rd.IndexVector(3, (0.0, v - 1 / 3, -2 / 3))
+    terms = v_terms(mu)
+    assert isinstance(terms, list)
+    assert [(k, j) for k, j, _ in terms] == [(1, 0), (2, 0), (2, 1)]
+    theta = mu.cyclic.theta
+    assert np.allclose([coef for _, _, coef in terms], [1.0, 1.0, 3 * v / theta])
+    mu4 = rd.IndexVector(4, (0.3, 0.5, 0.7, 0.9))
+    theta4 = mu4.cyclic.theta
+    want = [(k, j, P / theta4 ** j) for k in range(1, 4)
+            for j, P in enumerate(rd.chain_expansion_coeffs(mu4.a[:k])) if P != 0.0]
+    assert v_terms(mu4) == want
+
+
+def test_kernel_log_peak():
+    ser = rd.LaurentSeries(-1, np.array([2.0, 0.0, 3.0, 0.5]))
+    # terms 2 (degree -1 counts as zmax^0), 3 zmax, 0.5 zmax^2
+    assert kernel_log_peak(ser, 10.0) == pytest.approx(np.log(50.0))
+    assert kernel_log_peak(ser, 2.0) == pytest.approx(np.log(6.0))
+    assert kernel_log_peak(rd.LaurentSeries(0, np.zeros(3)), 10.0) == -np.inf
 
 
 def test_chain_closed_form_is_unreliable_for_k2():

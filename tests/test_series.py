@@ -123,6 +123,9 @@ def test_evaluate_against_exponential():
 def test_evaluate_constant_and_principal():
     assert rd.evaluate(rd.monomial(0), 17.3) == 17.3 * 0 + 1.0
     assert abs(rd.evaluate(rd.monomial(-1), 2.0) - 0.5) < 1e-15
+    # a positive lowest degree keeps its factor x^n_min
+    assert rd.evaluate(rd.monomial(2), 3.0) == 9.0
+    assert rd.evaluate(rd.mul_x_power(rd.LaurentSeries(0, np.array([1.0, 1.0])), 1), 2.0) == 6.0
 
 
 def test_evaluate_principal_at_zero_raises():

@@ -83,7 +83,7 @@ def test_f_r_linearity():
     c3 = CyclicStructure(3)
     g = ray_poly(c3, [1.0, 0.5, 0.25])
     v1 = f_r_transform(g, 0.9)
-    g2 = ray_poly(c3, (2.0 - 1.0j) * g.coeffs, g.d_min)
+    g2 = ray_poly(c3, (2.0 - 1.0j) * g.poly.coeffs, g.poly.n_min)
     v2 = f_r_transform(g2, 0.9)
     assert abs((2.0 - 1.0j) * v1 - v2) < 1e-12
 
@@ -332,8 +332,8 @@ def _mp_moment_series(mu, a, g, lam, N):
                 den *= mpmath.mpf(al) + 1 + m
             b.append(-b[-1] / den)
         s, lam, total = mpmath.mpf(g.decay_scale), mpmath.mpc(lam), mpmath.mpc(0)
-        for i, cd in enumerate(g.coeffs):
-            d = g.d_min + i
+        for i, cd in enumerate(g.poly.coeffs):
+            d = g.poly.n_min + i
             for n in range(N + 1):
                 if cd == 0 or (d + n) % r:
                     continue

@@ -303,3 +303,51 @@ def test_v_star_closed_form_r3_with_conjugated_scalar():
 def test_build_V_requires_integrable_weights():
     with pytest.raises(ParameterError):
         build_V(rd.IndexVector(2, (0.0, -0.7)), 20)
+
+
+def _matrix_per_degree_loop(mu, N):
+    # reference assembly: the chain expansion recomputed for every degree,
+    # and every term skipped where its P_j vanishes
+    from rdunkl.mehler import MehlerWeight
+    from rdunkl.operators import chain_expansion_coeffs
+
+    weight = MehlerWeight(mu)
+    r, theta = mu.r, mu.cyclic.theta
+    row_min = -(r - 1) if abs(mu.a[0]) > 1e-12 else 0
+    M = np.zeros((N - row_min + 1, N + 1), dtype=complex)
+
+    def chain_factor(n):
+        out = 1.0
+        for i in weight.included:
+            out *= l_coefficient(n + r - i - 1, mu.alphas[i] + i / r, r)
+        return out
+
+    c_norm = weight.c_norm
+    for n in range(N + 1):
+        if n % r == 0:
+            M[n - row_min, n] += c_norm * chain_factor(n)
+        for k in range(1, r):
+            P = chain_expansion_coeffs(mu.a[:k])
+            for j in range(k + 1):
+                if P[j] == 0.0 or (n - j) % r != (-k) % r:
+                    continue
+                M[n - j - row_min, n] += c_norm * (P[j] / theta ** j) * chain_factor(n + k - j)
+    return M
+
+
+@pytest.mark.parametrize("alphas", [
+    (0.0, 0.6),
+    (0.4, 0.6),
+    (0.0, 0.9 - 1 / 3, -2 / 3),
+    (0.3, 0.5, 1.2),
+    (0.0, 0.2, 0.5, 0.1),
+    (0.7, 0.2, 0.5, 0.1),
+    (0.0, 0.5, 0.7, 0.9, 1.1),
+    (0.3, 0.5, 0.7, 0.9, 1.1),
+])
+def test_matrix_bit_identical_to_per_degree_loop(alphas):
+    mu = rd.IndexVector(len(alphas), alphas)
+    V = build_V(mu, 30)
+    want = _matrix_per_degree_loop(mu, 30)
+    assert V.row_min == (0 if alphas[0] == 0.0 else -(mu.r - 1))
+    assert np.array_equal(V.matrix, want)
