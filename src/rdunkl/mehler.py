@@ -9,23 +9,30 @@ j_mu(0) = 1.  Dimensions with a_i = 0 carry no mass and are removed; the
 substitution v = u^r per remaining dimension turns each factor into the
 Jacobi weight (1/r)(1-v)^(alpha_i+i/r-1) v^(-i/r), which Gauss-Jacobi
 integrates at spectral accuracy despite the endpoint exponents in (-1, 0).
+
+Both integrands depend on the point of the cube only through the product
+P = prod_i v_i = (u_0 ... u_{r-1})^r, so the quadrature is one n-point
+Gauss rule for the distribution of P under the weight, built dimension by
+dimension from the 1-d Gauss-Jacobi rules (Gautschi, Orthogonal
+Polynomials: Computation and Approximation, 2004, section 2.2).  It has the
+tensor rule's degree of exactness, 2n - 1 in P, with n nodes instead of
+n^dims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from ._errors import ParameterError
-from .quadrature import gauss_jacobi_rule
+from .quadrature import _RULE_CACHE_SIZE, _frozen, _jacobi_reference, gauss_jacobi_rule
 from .reports import VerificationReport, make_report
 from .special import IndexVector, cos_r_value, gamma_ratio
 from .operators import v_terms
 
 _A_ZERO_TOL = 1e-12
-#: most tensor nodes evaluated at once; bounds the quadrature's working memory
-_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -58,51 +65,71 @@ class MehlerWeight:
         object.__setattr__(self, "jacobi_params", tuple(params))
         object.__setattr__(self, "c_norm", c)
 
-
-def _grid_product(nodes, weights, r, u, w):
-    """Flat product grid of the 1-d factors, each point of the prefix grid
-    (u, w) multiplied left to right by every later factor in C order."""
-    for a, b in zip(nodes, weights):
-        u = (u[:, None] * a).ravel()
-        w = (w[:, None] * b / r).ravel()
-    return u, w
+    def product_rule(self, n: int):
+        """Read-only nodes u and weights W of the n-point Gauss rule in the
+        product variable u^r = prod_i v_i; W sums to 1 / c_norm."""
+        if n < 1:
+            raise ParameterError("need at least one node")
+        return _product_reference(self.mu.r, self.jacobi_params, int(n))
 
 
-def _tensor_nodes(weight: MehlerWeight, n_nodes: int):
-    """Flattened tensor grid in blocks of at most _BLOCK nodes: products of
-    u_i = v_i^(1/r) and the combined quadrature weights including the
-    per-dimension 1/r substitution factors.
+def _gauss_reduce(P: np.ndarray, W: np.ndarray, n: int):
+    """n-point Gauss rule of the discrete measure sum_k W_k delta(P_k).
 
-    The trailing dimensions that fit in a block form the inner grid; each
-    block multiplies a run of outer prefix products into it, so the
-    concatenated blocks are the full C-order grid, bit for bit.
+    Lanczos on diag(P) from the start vector sqrt(W / sum W), with full
+    reorthogonalization, gives the n x n Jacobi matrix of the measure; its
+    eigenvalues are the nodes and sum(W) times the squared first components
+    of its eigenvectors the weights (Golub & Welsch, Math. Comp. 23, 1969).
+    The measure has more than n support points, so no beta vanishes.
     """
-    r = weight.mu.r
-    rules = [gauss_jacobi_rule(p, q, n_nodes) for (p, q) in weight.jacobi_params]
-    if not rules:
-        yield np.array([1.0]), np.array([1.0])
-        return
-    nodes = [rl.nodes ** (1.0 / r) for rl in rules]
-    weights = [rl.weights for rl in rules]
-    split, inner = len(rules), 1
-    while split > 0 and inner * n_nodes <= _BLOCK:
-        split -= 1
-        inner *= n_nodes
-    u_out, w_out = _grid_product(nodes[:split], weights[:split], r, np.ones(1), np.ones(1))
-    rows = _BLOCK // inner
-    for lo in range(0, u_out.size, rows):
-        yield _grid_product(nodes[split:], weights[split:], r,
-                            u_out[lo:lo + rows], w_out[lo:lo + rows])
+    total = W.sum()
+    Q = np.empty((n, P.size))
+    Q[0] = np.sqrt(W / total)
+    alpha, beta = np.empty(n), np.empty(n - 1)
+    for k in range(n):
+        v = P * Q[k]
+        alpha[k] = Q[k] @ v
+        if k == n - 1:
+            break
+        v -= alpha[k] * Q[k]
+        if k:
+            v -= beta[k - 1] * Q[k - 1]
+        v -= Q[:k + 1].T @ (Q[:k + 1] @ v)
+        beta[k] = np.linalg.norm(v)
+        Q[k + 1] = v / beta[k]
+    J = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    nodes, vecs = np.linalg.eigh(J)
+    return nodes, total * vecs[0] ** 2
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _product_reference(r: int, jacobi_params: tuple, n: int):
+    """n-point Gauss rule for the pushforward of the product weight under
+    P = prod_i v_i: read-only (u = P^(1/r), W).
+
+    Each included dimension multiplies the current rule by its Gauss-Jacobi
+    rule (weights / r from the substitution v = u^r), and the n^2 products are
+    reduced back to n points.  The rule integrates every polynomial of degree
+    <= 2n - 1 in P exactly, the same degree as the tensor rule.  It reads the
+    1-d rules from quadrature's reference cache, below the public
+    gauss_jacobi_rule, so the public calls of a Mehler evaluation do not
+    depend on whether this cache already holds its rule.
+    """
+    P, W = np.ones(1), np.ones(1)
+    for p, q in jacobi_params:
+        v, w = _jacobi_reference(float(p), float(q), n)
+        P = np.outer(P, v).ravel()
+        W = np.outer(W, w / r).ravel()
+        if P.size > n:
+            P, W = _gauss_reduce(P, W, n)
+    return _frozen(P ** (1.0 / r)), _frozen(W)
 
 
 def mehler_j(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
     """j_mu(x) as the weighted integral of cos_r(x u_0 ... u_{r-1})."""
     weight = MehlerWeight(mu)
-    c = mu.cyclic
-    total = 0.0
-    for u, w in _tensor_nodes(weight, n_nodes_per_dim):
-        total += np.sum(w * cos_r_value(c, x * u))
-    return weight.c_norm * complex(total)
+    u, w = weight.product_rule(n_nodes_per_dim)
+    return weight.c_norm * complex(np.sum(w * cos_r_value(mu.cyclic, x * u)))
 
 
 def _kernel_coeffs(mu: IndexVector, x: complex) -> np.ndarray:
@@ -131,10 +158,11 @@ def mehler_E(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
 
         sum_{m=0}^{r-1} c_m u^m S_m,   S_m = sum_n omega^(nm) e(omega^n x u),
 
-    with c_m from _kernel_coeffs.  The quadrature accumulates the moments
-    A[n, m] = sum w u^m e(omega^n x u) block by block.  For real x the rows
-    n and r-1-n are complex conjugates, so only the first ceil(r/2) rows are
-    integrated.  The x^(-j) factors sit inside T_k, so x = 0 is excluded.
+    with c_m from _kernel_coeffs.  The quadrature forms the moments
+    A[n, m] = sum w u^m e(omega^n x u) over the product-variable rule.  For
+    real x the rows n and r-1-n are complex conjugates, so only the first
+    ceil(r/2) rows are integrated.  The x^(-j) factors sit inside T_k, so
+    x = 0 is excluded.
     """
     if x == 0:
         raise ParameterError("kernel quadrature needs x != 0")
@@ -144,9 +172,8 @@ def mehler_E(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
     real = np.isrealobj(x)
     rows = (r + 1) // 2 if real else r
     rot = np.array([c.theta * c.omega_pow(n) * x for n in range(rows)])
-    A = np.zeros((rows, r), dtype=complex)
-    for u, w in _tensor_nodes(weight, n_nodes_per_dim):
-        A += np.exp(np.outer(rot, u)) @ (np.vander(u, r, increasing=True) * w[:, None])
+    u, w = weight.product_rule(n_nodes_per_dim)
+    A = np.exp(np.outer(rot, u)) @ (np.vander(u, r, increasing=True) * w[:, None])
     if real:
         A = np.concatenate([A, A[r - 1 - rows::-1].conj()])
     omega_nm = np.array([[c.omega_pow(n * m) for m in range(r)] for n in range(r)])

@@ -232,13 +232,20 @@ def series_residual(f: LaurentSeries, g: LaurentSeries, from_degree: int | None 
         lo = max(lo, from_degree)
     if top < lo:
         raise ParameterError("series share no trustworthy degrees")
-    diffs = [abs(f[n] - g[n]) for n in range(lo, top + 1)]
-    scale = max(
-        max((abs(f[n]) for n in range(lo, top + 1)), default=0.0),
-        max((abs(g[n]) for n in range(lo, top + 1)), default=0.0),
-        1e-300,
-    )
-    return max(diffs) / scale
+    a, b = _window(f, lo, top), _window(g, lo, top)
+    d = a - b
+    # magnitudes by hypot, as Python's abs(complex); np.abs can differ by an ulp
+    scale = max(np.hypot(a.real, a.imag).max(), np.hypot(b.real, b.imag).max(), 1e-300)
+    return float(np.hypot(d.real, d.imag).max() / scale)
+
+
+def _window(f: LaurentSeries, lo: int, hi: int) -> np.ndarray:
+    """Coefficients of degrees lo..hi, zero outside the stored range."""
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    start, stop = max(lo, f.n_min), min(hi, f.n_max)
+    if start <= stop:
+        out[start - lo:stop - lo + 1] = f.coeffs[start - f.n_min:stop - f.n_min + 1]
+    return out
 
 
 def series_to_json(f: LaurentSeries) -> dict:

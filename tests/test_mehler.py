@@ -14,7 +14,7 @@ from rdunkl.quadrature import (
     jacobi_moment,
     rule_exactness_residual,
 )
-from rdunkl.special import gamma_ratio
+from rdunkl.special import cos_r_value, gamma_ratio
 
 
 def test_gauss_legendre_cubic_exact():
@@ -243,52 +243,66 @@ def _meshgrid_nodes(mu, n):
     return u_ref.ravel(), w_ref.ravel()
 
 
-def _concatenated_blocks(mu, n):
-    blocks = list(mehler._tensor_nodes(MehlerWeight(mu), n))
-    assert all(u.size == w.size <= mehler._BLOCK for u, w in blocks)
-    return len(blocks), np.concatenate([u for u, _ in blocks]), np.concatenate([w for _, w in blocks])
-
-
 R5_FULL = rd.IndexVector(5, (0.3, 0.5, 0.7, 0.9, 1.1))  # five included dimensions
 
 
 @pytest.mark.parametrize("mu", [
-    rd.IndexVector(2, (0.0, 0.75)),
     rd.IndexVector(3, (0.4, 0.9 - 1 / 3, 0.3)),
     rd.IndexVector(4, (0.0, 0.2, 0.5, 0.1)),
+    rd.IndexVector(4, (0.4, 0.1, 0.6, 0.3)),
+    rd.IndexVector(5, (0.0, 0.5, 0.7, 0.9, 1.1)),
     R5_FULL,
 ])
-def test_tensor_nodes_equal_meshgrid_product(mu, monkeypatch):
-    # the concatenated blocks must reproduce the meshgrid product bit for
-    # bit, whether the grid fits one block, spans several, or one
-    # dimension alone exceeds the block size
-    n = 7
-    u_ref, w_ref = _meshgrid_nodes(mu, n)
-    for block in (mehler._BLOCK, 40, 5):
-        monkeypatch.setattr(mehler, "_BLOCK", block)
-        count, u, w = _concatenated_blocks(mu, n)
-        assert (count == 1) == (u_ref.size <= block)
-        assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
+@pytest.mark.parametrize("n", [6, 12, 24, 48])
+def test_product_rule_moments(mu, n):
+    # the rule is Gauss for the distribution of P = prod_i v_i: exact on P^m
+    # for m <= 2n - 1, whose moments factor into 1-d Beta moments
+    weight = MehlerWeight(mu)
+    u, W = weight.product_rule(n)
+    assert u.shape == W.shape == (n,)
+    P = u ** mu.r
+    for m in range(2 * n):
+        want = math.prod(jacobi_moment(p, q, m) / mu.r for p, q in weight.jacobi_params)
+        assert abs(np.sum(W * P ** m) - want) <= 1e-10 * want
 
 
-def test_tensor_nodes_default_block_spans_several_blocks():
-    n = 9  # 9^5 = 59049 nodes, more than one default block
-    u_ref, w_ref = _meshgrid_nodes(R5_FULL, n)
-    count, u, w = _concatenated_blocks(R5_FULL, n)
-    assert count > 1
-    assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
+def _tensor_mehler_j(mu, x, n):
+    u, w = _meshgrid_nodes(mu, n)
+    return MehlerWeight(mu).c_norm * complex(np.sum(w * cos_r_value(mu.cyclic, x * u)))
 
 
 @pytest.mark.parametrize("mu,n", [
-    (R5_FULL, 9),
-    (rd.IndexVector(4, (0.2, 0.5, 0.1, 0.8)), 16),  # 16^4 = 65536 nodes
+    (rd.IndexVector(2, (0.0, 0.6)), 48),  # one dimension: the Jacobi rule itself
+    (rd.IndexVector(2, (0.3, 0.8)), 48),
+    (rd.IndexVector(3, (0.0, 0.5, 1.0)), 48),
+    (rd.IndexVector(3, (0.2, 0.5, 1.0)), 48),
+    (rd.IndexVector(4, (0.0, 0.2, 0.5, 0.1)), 48),
+    (rd.IndexVector(4, (0.4, 0.1, 0.6, 0.3)), 24),
+    (rd.IndexVector(5, (0.0, 0.5, 0.7, 0.9, 1.1)), 24),
+    (R5_FULL, 12),
 ])
-def test_blocked_sums_match_one_block(mu, n, monkeypatch):
-    j_blocked, E_blocked = mehler_j(mu, 1.7, n), mehler_E(mu, 1.3, n)
-    monkeypatch.setattr(mehler, "_BLOCK", n ** mu.r)
-    j_one, E_one = mehler_j(mu, 1.7, n), mehler_E(mu, 1.3, n)
-    assert abs(j_blocked - j_one) <= 1e-14 * abs(j_one)
-    assert abs(E_blocked - E_one) <= 1e-14 * abs(E_one)
+@pytest.mark.parametrize("x", [1.7, -2.1, 5.0, 0.8 + 0.5j])
+def test_product_rule_matches_tensor_grid(mu, n, x):
+    # the n-point product-variable rule against the full n^dims tensor grid
+    want = _tensor_mehler_j(mu, x, n)
+    assert abs(mehler_j(mu, x, n) - want) <= 5e-13 * (1 + abs(want))
+    want = _mehler_E_loop(mu, x, n)
+    assert abs(mehler_E(mu, x, n) - want) <= 5e-13 * (1 + abs(want))
+
+
+def test_product_rule_cached_and_read_only():
+    weight = MehlerWeight(R5_FULL)
+    u, W = weight.product_rule(12)
+    u2, W2 = MehlerWeight(R5_FULL).product_rule(12)
+    assert u2 is u and W2 is W
+    assert not u.flags.writeable and not W.flags.writeable
+    with pytest.raises(ValueError):
+        u[0] = 0.0
+    size = mehler._product_reference.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            weight.product_rule(0)
+    assert mehler._product_reference.cache_info().currsize == size
 
 
 def _mehler_E_loop(mu, x, n):

@@ -147,6 +147,56 @@ def test_valid_order_clamps_comparisons():
     assert rd.series_residual(a, b) == 0.0
 
 
+def _series_residual_loop(f, g, from_degree=None):
+    # the per-degree loop over __getitem__, with Python's abs(complex)
+    top = min(f.valid_order, g.valid_order)
+    lo = min(f.n_min, g.n_min)
+    if from_degree is not None:
+        lo = max(lo, from_degree)
+    if top < lo:
+        raise ParameterError("series share no trustworthy degrees")
+    diffs = [abs(f[n] - g[n]) for n in range(lo, top + 1)]
+    scale = max(
+        max((abs(f[n]) for n in range(lo, top + 1)), default=0.0),
+        max((abs(g[n]) for n in range(lo, top + 1)), default=0.0),
+        1e-300,
+    )
+    return max(diffs) / scale
+
+
+@pytest.mark.parametrize("f_range,g_range,valid,from_degree", [
+    ((0, 20), (0, 20), None, None),
+    ((0, 20), (3, 30), None, None),        # offset, g longer
+    ((-3, 12), (0, 25), 10, None),         # principal part on one side, clamped top
+    ((-4, 15), (-2, 15), None, None),      # principal parts on both sides
+    ((-3, 20), (-1, 18), None, 0),         # regular part only
+    ((-3, 20), (2, 18), 15, 5),            # from_degree inside both ranges
+    ((5, 9), (12, 20), 20, None),          # disjoint stored ranges
+])
+def test_series_residual_equals_loop(f_range, g_range, valid, from_degree):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        f = random_series(rng, *f_range)
+        g = random_series(rng, *g_range)
+        if valid is not None:
+            g = rd.LaurentSeries(g.n_min, g.coeffs, min(valid, g.n_max))
+        got = rd.series_residual(f, g, from_degree)
+        assert type(got) is float
+        assert got == _series_residual_loop(f, g, from_degree)
+    zero = zero_series(0, 10)
+    assert rd.series_residual(zero, zero) == _series_residual_loop(zero, zero) == 0.0
+
+
+def test_series_residual_rejects_empty_range():
+    f = random_series(np.random.default_rng(1), 0, 5)
+    for args in [(f, rd.LaurentSeries(0, np.ones(3), valid_order=-1)),  # top below lo
+                 (f, f, 6)]:                                             # from_degree above top
+        with pytest.raises(ParameterError):
+            rd.series_residual(*args)
+        with pytest.raises(ParameterError):
+            _series_residual_loop(*args)
+
+
 def test_json_round_trip():
     f = rd.LaurentSeries(-2, np.array([1 + 2j, 0.5, -3j, 4.0]))
     blob = json.dumps(rd.series_to_json(f))
