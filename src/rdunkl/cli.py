@@ -24,11 +24,15 @@ from .verify import SUITES, run_suites
 
 def _fmt(v: float) -> str:
     """15 significant digits with trailing zeros kept; exact integers and
-    zero print plain."""
+    zero print plain.  Values that "#.15g" would write in exponent form
+    (|v| < 1e-4 or >= 1e15) go through Dragon4 positional formatting."""
     if v == 0.0:
         return "0"
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
+    s = f"{v:#.15g}"
+    if "e" not in s:
+        return s
     s = np.format_float_positional(v, precision=15, unique=False, fractional=False)
     sig, seen_nonzero = 0, False
     for ch in s:
@@ -40,6 +44,15 @@ def _fmt(v: float) -> str:
     if "." in s:
         s += "0" * max(0, 15 - sig)
     return s
+
+
+def _write_table(xs, vals):
+    """The "x,re,im" CSV table of complex values on a real grid array,
+    written to stdout in one call."""
+    vals = np.asarray(vals, dtype=complex)
+    rows = [f"{_fmt(x)},{_fmt(re)},{_fmt(im)}\n"
+            for x, re, im in zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist())]
+    sys.stdout.write("x,re,im\n" + "".join(rows))
 
 
 def _parse_alphas(text: str, r: int | None):
@@ -58,13 +71,19 @@ def _parse_grid(text: str):
 
 def _refuse_uncertified(where: str, grid, vals, err, tol: float, what: str):
     """Raise unless every value is finite with err <= tol (1 + |value|); a NaN
-    estimate never passes.  The message names the first failing grid point."""
+    estimate never passes.  The message names the first failing grid point
+    and says so when the value or the estimate there is not finite."""
     vals, err = np.asarray(vals), np.asarray(err)
     ok = np.isfinite(vals) & (err <= tol * (1.0 + np.abs(vals)))
     if not np.all(ok):
         i = int(np.argmin(ok))
+        at = f"{where}={float(grid[i]):g}"
+        if not np.isfinite(vals[i]):
+            raise SeriesOverflowError(f"{at}: the value is not finite")
+        if not np.isfinite(err[i]):
+            raise SeriesOverflowError(f"{at}: {what} is not finite")
         raise SeriesOverflowError(
-            f"{where}={float(grid[i]):g}: {what} {float(err[i]):.3g} exceeds "
+            f"{at}: {what} {float(err[i]):.3g} exceeds "
             f"{tol:g} * (1 + |value|) = {tol * (1.0 + abs(complex(vals[i]))):.3g}")
 
 
@@ -111,17 +130,18 @@ def cmd_eval(args) -> int:
         vals = cos_r_value(c, xs)
     else:
         raise RdunklError(f"unknown kind {args.kind}")
-    print("x,re,im")
-    for x, v in zip(xs, vals):
-        v = complex(v)
-        print(f"{_fmt(float(x))},{_fmt(v.real)},{_fmt(v.imag)}")
+    _write_table(xs, vals)
     return 0
 
 
+#: bound on the magnitude of a series coefficient that underflowed to zero
+_SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
+
+
 def _certified_series_values(mu: IndexVector, kind: str, degree: int, xs):
-    """Values of the degree-``degree`` series of j_mu or E_mu on the grid,
-    refused unless the next r degrees, sum |c_n| |x|^n, stay below
-    1e-12 (1 + |value|) at every x."""
+    """Values of the degree-``degree`` series of j_mu or E_mu on the grid, by
+    one Horner pass over the whole grid, refused unless the next r degrees,
+    sum |c_n| |x|^n, stay below 1e-12 (1 + |value|) at every x."""
     r = mu.r
     if kind == "j":
         ser = bessel_j_series(mu, degree + r)
@@ -131,10 +151,16 @@ def _certified_series_values(mu: IndexVector, kind: str, degree: int, xs):
     # to `degree`, E up to `degree - r + 1`, where its valid_order ends
     top = min(ser.valid_order, ser.n_max) - r
     head = LaurentSeries(ser.n_min, ser.coeffs[: top - ser.n_min + 1], top)
-    vals = [evaluate(head, x) for x in xs]
+    vals = evaluate(head, xs)
+    # the tail terms in logs, so an underflowed |c_n| times an overflowed
+    # |x|^n is not 0 * inf = NaN; a stored zero counts as the smallest
+    # subnormal, the largest magnitude that can round to it
     next_mags = np.abs(ser.coeffs[top - ser.n_min + 1: top - ser.n_min + 1 + r])
+    log_c = np.log(np.maximum(next_mags, _SMALLEST_SUBNORMAL))[:, None]
+    degs = np.arange(top + 1, top + r + 1)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tail = next_mags @ (np.abs(xs)[None, :] ** np.arange(top + 1, top + r + 1)[:, None])
+        log_pow = np.where(degs == 0, 0.0, degs * np.log(np.abs(xs)))
+        tail = np.exp(log_c + log_pow).sum(axis=0)
     _refuse_uncertified("x", xs, vals, tail, 1e-12,
                         f"the --degree {degree} truncation is not converged; tail estimate")
     return vals
@@ -188,9 +214,7 @@ def cmd_transform(args) -> int:
     vals, err = moment_transform(mu, a, g, lams)
     _refuse_uncertified("lambda", lams, vals, err, 1e-10,
                         "F(lambda) is not certified; rounding estimate")
-    print("x,re,im")
-    for lam, v in zip(lams, vals):
-        print(f"{_fmt(float(lam))},{_fmt(v.real)},{_fmt(v.imag)}")
+    _write_table(lams, vals)
     return 0
 
 

@@ -193,7 +193,10 @@ def lincomb(pairs) -> LaurentSeries:
 def evaluate(f: LaurentSeries, x) -> complex | np.ndarray:
     """Horner evaluation over degrees n_min..valid_order.
 
-    Raises DomainError at x = 0 when a nonzero principal part is present.
+    ``x`` may be a scalar or an array; every element goes through the same
+    Horner sequence of operations as a scalar would, so evaluating a grid at
+    once gives the per-point values bit for bit.  Raises DomainError when a
+    nonzero principal part is present and some x is 0.
     """
     x = np.asarray(x, dtype=complex)
     top = min(f.valid_order, f.n_max)

@@ -60,21 +60,24 @@ class TransmutationMap:
         rows = N - self.row_min + 1
         M = np.zeros((rows, N + 1), dtype=complex)
 
-        def chain_factor(n):
+        # the chain of conjugated fractional means on x^m, computed once per
+        # degree: the terms below reach it only at m = n + k - j = 0 (mod r),
+        # m < N + r, so chain[m // r] holds degree m
+        chain = []
+        for m in range(0, N + r, r):
             out = 1.0
             for i in weight.included:
-                beta = mu.alphas[i] + i / r
-                out *= l_coefficient(n + r - i - 1, beta, r)
-            return out
+                out *= l_coefficient(m + r - i - 1, mu.alphas[i] + i / r, r)
+            chain.append(out)
 
         c_norm = weight.c_norm
         terms = v_terms(mu)
         for n in range(N + 1):
             if n % r == 0:
-                M[n - self.row_min, n] += c_norm * chain_factor(n)
+                M[n - self.row_min, n] += c_norm * chain[n // r]
             for k, j, coef in terms:
                 if (n - j) % r == (-k) % r:
-                    M[n - j - self.row_min, n] += c_norm * coef * chain_factor(n + k - j)
+                    M[n - j - self.row_min, n] += c_norm * coef * chain[(n + k - j) // r]
         self.matrix = M
         self.c_norm = c_norm
 

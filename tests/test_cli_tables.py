@@ -1,0 +1,178 @@
+"""The CLI table path: whole-grid series evaluation, the fast number
+formatter, the refusal reasons, and golden stdout digests of table commands."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import rdunkl.transmutation as transmutation
+from rdunkl.cli import _certified_series_values, _fmt, main
+from rdunkl.operators import dunkl_kernel_series
+from rdunkl.series import LaurentSeries, evaluate
+from rdunkl.special import IndexVector, bessel_j_series
+
+EX9 = "0,0.5666666666666667,-0.6666666666666666"  # (0, 0.9 - 1/3, -2/3)
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# -- whole-grid evaluation --------------------------------------------------
+
+def _per_point_values(mu, kind, degree, xs):
+    """Oracle: the degree-`degree` truncation evaluated one grid point at a
+    time, as the table path did before it evaluated the whole grid."""
+    r = mu.r
+    ser = bessel_j_series(mu, degree + r) if kind == "j" else dunkl_kernel_series(mu, 1.0, degree + r)
+    top = min(ser.valid_order, ser.n_max) - r
+    head = LaurentSeries(ser.n_min, ser.coeffs[: top - ser.n_min + 1], top)
+    return np.array([evaluate(head, x) for x in xs])
+
+
+@pytest.mark.parametrize("kind, alphas, xs", [
+    ("j", (0.0, 0.5), np.linspace(0, 10, 2001)),
+    ("j", (0.0, 0.5, 0.25), np.linspace(-10, 10, 2001)),
+    ("j", (0.0, 0.75, 0.5, 0.25), np.linspace(0, 10, 2001)),
+    ("j", (0.0, 0.2, 0.4, 0.6, 0.8), np.linspace(0, 10, 2001)),
+    ("E", (0.0, 0.5), np.linspace(-5, 5, 2001)),
+    ("E", (0.0, 0.5666666666666667, -0.6666666666666666), np.linspace(0, 5, 2001)),
+    ("E", (0.0, 0.75, 0.5, 0.25), np.linspace(0, 3, 2001)),
+    ("E", (0.0, 0.2, 0.4, 0.6, 0.8), np.linspace(0, 3, 2001)),
+    # alpha_0 != 0: E has a principal part, so the grid avoids 0
+    ("E", (0.3, 0.5666666666666667, -0.6666666666666666), np.linspace(0.01, 4, 2001)),
+    ("E", (0.25, 0.5), np.linspace(-4, -0.5, 2001)),
+])
+def test_whole_grid_values_equal_per_point_loop(kind, alphas, xs):
+    mu = IndexVector(len(alphas), alphas)
+    got = _certified_series_values(mu, kind, 60, xs)
+    want = _per_point_values(mu, kind, 60, xs)
+    assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
+
+
+def test_principal_part_at_zero_still_refused(capsys):
+    code, out, err = _run(capsys, "eval", "E", "--r", "3", "--alpha",
+                          "0.3,0.5666666666666667,-0.6666666666666666", "--x-grid", "0:2:3")
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation at 0 with nonzero principal part\n"
+
+
+# -- refusal reasons ----------------------------------------------------------
+
+def test_underflowed_tail_refuses_without_nan(capsys):
+    # at degree 200 the next j coefficient underflows to 0 while 40^204
+    # overflows; the tail estimate must stay a number
+    code, out, err = _run(capsys, "eval", "j", "--r", "4", "--alpha", "0,0.75,0.5,0.25",
+                          "--x-grid", "40", "--degree", "200")
+    assert (code, out) == (2, "")
+    assert "x=40" in err and "--degree 200" in err and "nan" not in err.lower()
+
+
+def test_refusal_says_when_a_value_is_not_finite():
+    from rdunkl._errors import SeriesOverflowError
+    from rdunkl.cli import _refuse_uncertified
+
+    grid = np.array([1.0, 2.0])
+    with pytest.raises(SeriesOverflowError, match=r"x=2: the value is not finite$"):
+        _refuse_uncertified("x", grid, [1.0, np.nan], [0.0, 0.0], 1e-12, "tail estimate")
+    with pytest.raises(SeriesOverflowError, match=r"x=1: tail estimate is not finite$"):
+        _refuse_uncertified("x", grid, [1.0, 1.0], [np.nan, 0.0], 1e-12, "tail estimate")
+
+
+# -- the number formatter -------------------------------------------------------
+
+def _fmt_dragon4(v: float) -> str:
+    """Oracle: the formatter before its "#.15g" fast path, Dragon4 for every
+    non-integer value."""
+    if v == 0.0:
+        return "0"
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    s = np.format_float_positional(v, precision=15, unique=False, fractional=False)
+    sig, seen_nonzero = 0, False
+    for ch in s:
+        if ch.isdigit():
+            if ch != "0":
+                seen_nonzero = True
+            if seen_nonzero:
+                sig += 1
+    if "." in s:
+        s += "0" * max(0, 15 - sig)
+    return s
+
+
+def _fmt_inputs():
+    rng = np.random.default_rng(20261018)
+    n = 120_000
+    sample = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-20, 17, n)
+              * rng.choice([-1.0, 1.0], n))
+    near_powers = [float(np.nextafter(10.0 ** k, side)) for k in range(-6, 16)
+                   for side in (0.0, np.inf)]
+    edges = [1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e-4, 1.0)),
+             999999999999999.4, 999999999999999.6, 5e-324, -0.0,
+             12345678901234.25, 1234567890123.125, 0.5]
+    values = sample.tolist() + near_powers + edges
+    return values + [-v for v in near_powers + edges]
+
+
+def test_fmt_matches_dragon4_byte_for_byte():
+    values = _fmt_inputs()
+    assert len(values) >= 100_000
+    bad = [v for v in values if _fmt(v) != _fmt_dragon4(v)]
+    assert not bad, [(v, _fmt(v), _fmt_dragon4(v)) for v in bad[:5]]
+
+
+def test_fmt_exponent_form_falls_back_to_positional():
+    assert _fmt(999999999999999.6) == "1000000000000000."
+    assert _fmt(1.5e-5) == "0.0000150000000000000"
+    assert _fmt(-0.0) == "0"
+
+
+# -- golden stdout digests --------------------------------------------------------
+
+GOLDEN = [
+    (("eval", "j", "--r", "2", "--alpha", "0,0.5", "--x-grid", "0:10:2001"),
+     "8c5b22e81bce8c86cb61e0bba5a192b7f9a8d6ae3930266558809ca998c832c2"),
+    (("eval", "j", "--r", "5", "--alpha", "0,0.2,0.4,0.6,0.8", "--x-grid", "0:10:2001"),
+     "8d9b5558c75b95b6f9676586ac89575c70ec365f793aba1f7c5720ca8e9b9e59"),
+    (("eval", "E", "--r", "3", "--alpha", EX9, "--x-grid", "0:5:2001"),
+     "91394bff3d74f5f748c09a1e361a646ce2adce01cb5c6db88525fbb807b838f1"),
+    (("eval", "cosr", "--r", "4", "--x-grid", "0:10:2001"),
+     "ce7d70582d8dbb7fb5055d2479d82bf4aae11d5118cf5f32660e04077f8651c8"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--a", "2", "--input", "poly:0,1",
+      "--lambda-grid=-3:3:41"),
+     "6c29100b33da7341ca3877deaa436aef6aa460ba7eecc5d3ce89b5d9045a1d9d"),
+    (("transform", "--r", "4", "--mu", "0,0.5,0.5,0.5", "--a", "2", "--input", "gaussian",
+      "--lambda-grid=-2.8:2.8:41"),
+     "4bb6cde7925eb0d1191ba2dafcccc64812e472a674aead168907fcffb5bc438d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a[:4]) for a, _ in GOLDEN])
+def test_table_stdout_digest(capsys, argv, digest):
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("x,re,im\n") and out.endswith("\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the transmutation matrix ----------------------------------------------------------
+
+def test_chain_factors_computed_once_per_degree(monkeypatch):
+    calls = []
+    real = transmutation.l_coefficient
+
+    def counting(n, alpha, r):
+        calls.append((n, alpha))
+        return real(n, alpha, r)
+
+    monkeypatch.setattr(transmutation, "l_coefficient", counting)
+    mu = IndexVector(4, (0.0, 0.75, 0.5, 0.25))
+    N = 60
+    transmutation.build_V(mu, N)
+    assert calls and len(calls) == len(set(calls))
+    # the chain is reached only at degrees 0 (mod r) below N + r
+    assert len(calls) <= len(range(0, N + mu.r, mu.r)) * mu.r
