@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import RdunklError, SeriesOverflowError
+from ._errors import ParameterError, RdunklError, SeriesOverflowError
 from .series import CyclicStructure, LaurentSeries, evaluate
 from .special import IndexVector, bessel_j_series, cos_r_value
 from .operators import dunkl_kernel_series
@@ -65,8 +65,12 @@ def _parse_grid(text: str):
     # "start:stop:num" or a comma list
     if ":" in text:
         start, stop, num = text.split(":")
-        return np.linspace(float(start), float(stop), int(num))
-    return np.array([float(x) for x in text.split(",")])
+        grid = np.linspace(float(start), float(stop), int(num))
+    else:
+        grid = np.array([float(x) for x in text.split(",")])
+    if grid.size < 1:
+        raise ParameterError(f"grid {text!r} has no points")
+    return grid
 
 
 def _refuse_uncertified(where: str, grid, vals, err, tol: float, what: str):
@@ -101,20 +105,22 @@ def _int_at_least(low: int):
     return parse
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--r", type=int, default=2, help="cyclic order")
-    p.add_argument("--alpha", type=str, default=None,
-                   help="comma list alpha_0,...,alpha_{r-1}")
-    p.add_argument("--a", type=float, default=None, help="inner-product weight exponent")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized draws")
-    p.add_argument("--nodes", type=_int_at_least(1), default=48,
-                   help="quadrature nodes per dimension")
-    p.add_argument("--degree", type=_int_at_least(0), default=60,
-                   help="series truncation degree")
-    p.add_argument("--tolerance-scale", type=float, default=1.0,
-                   help="multiplies every gated tolerance")
-    p.add_argument("--json", action="store_true", help="force JSON output")
-    p.add_argument("--csv", action="store_true", help="force CSV output")
+#: the shared value flags; each subcommand takes only the ones it reads
+_FLAGS = {
+    "--r": dict(type=int, default=2, help="cyclic order"),
+    "--alpha": dict(type=str, default=None, help="comma list alpha_0,...,alpha_{r-1}"),
+    "--a": dict(type=float, default=1.0, help="weight exponent of the transform pairing"),
+    "--seed": dict(type=int, default=0, help="seed for randomized draws"),
+    "--nodes": dict(type=_int_at_least(1), default=48, help="quadrature nodes per dimension"),
+    "--degree": dict(type=_int_at_least(0), default=60, help="series truncation degree"),
+    "--tolerance-scale": dict(type=float, default=1.0,
+                              help="multiplies every gated tolerance"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str):
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def cmd_eval(args) -> int:
@@ -122,14 +128,14 @@ def cmd_eval(args) -> int:
         mu = _parse_alphas(args.alpha, args.r)
     else:
         mu = IndexVector(args.r, tuple(-k / args.r for k in range(args.r)))
-    c = CyclicStructure(args.r)
     xs = _parse_grid(args.x_grid)
-    if args.kind in ("j", "E"):
-        vals = _certified_series_values(mu, args.kind, args.degree, xs)
-    elif args.kind == "cosr":
-        vals = cos_r_value(c, xs)
-    else:
-        raise RdunklError(f"unknown kind {args.kind}")
+    # a value that overflows is refused by its finiteness check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.kind == "cosr":
+            vals = cos_r_value(CyclicStructure(args.r), xs)
+            _refuse_uncertified("x", xs, vals, np.zeros(xs.shape), 0.0, "cos_r")
+        else:
+            vals = _certified_series_values(mu, args.kind, args.degree, xs)
     _write_table(xs, vals)
     return 0
 
@@ -147,17 +153,14 @@ def _certified_series_values(mu: IndexVector, kind: str, degree: int, xs):
         ser = bessel_j_series(mu, degree + r)
     else:
         ser = dunkl_kernel_series(mu, 1.0, degree + r)
-    # the truncation printed is the one built at `degree`: j keeps degrees up
-    # to `degree`, E up to `degree - r + 1`, where its valid_order ends
-    top = min(ser.valid_order, ser.n_max) - r
-    head = LaurentSeries(ser.n_min, ser.coeffs[: top - ser.n_min + 1], top)
+    head = LaurentSeries(ser.n_min, ser.coeffs[: degree - ser.n_min + 1], degree)
     vals = evaluate(head, xs)
     # the tail terms in logs, so an underflowed |c_n| times an overflowed
     # |x|^n is not 0 * inf = NaN; a stored zero counts as the smallest
     # subnormal, the largest magnitude that can round to it
-    next_mags = np.abs(ser.coeffs[top - ser.n_min + 1: top - ser.n_min + 1 + r])
+    next_mags = np.abs(ser.coeffs[degree - ser.n_min + 1:])
     log_c = np.log(np.maximum(next_mags, _SMALLEST_SUBNORMAL))[:, None]
-    degs = np.arange(top + 1, top + r + 1)[:, None]
+    degs = np.arange(degree + 1, degree + r + 1)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         log_pow = np.where(degs == 0, 0.0, degs * np.log(np.abs(xs)))
         tail = np.exp(log_c + log_pow).sum(axis=0)
@@ -201,7 +204,6 @@ def cmd_transform(args) -> int:
     from .transforms import moment_transform
 
     mu = _parse_alphas(args.mu, args.r)
-    a = args.a if args.a is not None else 1.0
     c = CyclicStructure(args.r)
     if args.input == "gaussian":
         g = ray_poly(c, [1.0], decay_scale=0.5)
@@ -211,7 +213,7 @@ def cmd_transform(args) -> int:
     else:
         raise RdunklError(f"unknown input {args.input!r}")
     lams = _parse_grid(args.lambda_grid)
-    vals, err = moment_transform(mu, a, g, lams)
+    vals, err = moment_transform(mu, args.a, g, lams)
     _refuse_uncertified("lambda", lams, vals, err, 1e-10,
                         "F(lambda) is not certified; rounding estimate")
     _write_table(lams, vals)
@@ -245,21 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="tabulate j, the kernel, or cos_r on a grid")
-    _common_flags(p)
+    _add_flags(p, "--r", "--alpha", "--degree")
     p.add_argument("kind", choices=["j", "E", "cosr"])
     p.add_argument("--x-grid", type=str, required=True, help="start:stop:num or comma list")
 
     p = sub.add_parser("verify", help="run a verification suite, emit JSON reports")
-    _common_flags(p)
+    _add_flags(p, "--r", "--seed", "--nodes", "--degree", "--tolerance-scale")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
 
     p = sub.add_parser("convert", help="translate between kappa and a coefficients")
-    _common_flags(p)
+    _add_flags(p, "--r")
     p.add_argument("--direction", choices=["kappa-to-a", "a-to-kappa"], required=True)
     p.add_argument("--values", type=str, required=True, help="comma list")
 
     p = sub.add_parser("transform", help="sample the r-Dunkl transform on a lambda grid")
-    _common_flags(p)
+    _add_flags(p, "--r", "--a", "--nodes")
     p.add_argument("--mu", type=str, required=True, help="comma list of alphas")
     p.add_argument("--lambda-grid", type=str, required=True)
     p.add_argument("--input", type=str, default="gaussian",

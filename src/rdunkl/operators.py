@@ -18,12 +18,12 @@ import math
 
 import numpy as np
 
-from ._errors import ParameterError, SeriesOverflowError
+from ._errors import DomainError, ParameterError
 from .series import (
     CyclicStructure,
     LaurentSeries,
     differentiate,
-    evaluate,
+    guarded_evaluate,
     lincomb,
     mul_x_power,
     project_T,
@@ -89,61 +89,35 @@ def apply_D_compositional(mu: IndexVector, f: LaurentSeries, c: CyclicStructure 
 
 
 def dunkl_kernel_series(mu: IndexVector, lam: complex, N: int) -> LaurentSeries:
-    """Series of x -> E_mu(lam x), the r-Dunkl kernel at spectral value lam.
+    """Series of x -> E_mu(lam x), the r-Dunkl kernel at spectral value lam,
+    through degree N, all of it trustworthy.
 
-    E_mu = sum_{k<r} theta^(-k) D^k j_mu, and the scaled kernel is obtained
-    by substituting lam*x into each D^k j_mu term.  Built this way the kernel
-    satisfies D E_mu(lam x) = theta*lam*E_mu(lam x) exactly in coefficients.
-    A principal part appears iff alpha_0 != 0.
+    E_mu = sum_{k<r} theta^(-k) D^k j_mu, and D^k maps the term c_nr x^(nr)
+    of j_mu to prod_{l<k} (nr - l + a_l) c_nr x^(nr-k), so the coefficients
+    are e_(nr-k) = theta^(-k) (c_nr prod_{l<k} (nr - l + a_l) lam^(nr-k)),
+    computed in that order.  The principal part (degrees 1 - r .. -1) is
+    nonzero iff alpha_0 != 0; at lam = 0 it raises DomainError.
     """
-    c = mu.cyclic
-    theta = c.theta
-    j = bessel_j_series(mu, N)
-    terms = []
-    cur = j
-    for k in range(mu.r):
-        terms.append((theta ** (-k), scale_argument(cur, lam)))
-        if k < mu.r - 1:
-            cur = apply_D(mu, cur)
-    return lincomb(terms)
-
-
-def kernel_series_degree(r: int, zmax: float) -> int:
-    """Truncation degree of the kernel series for arguments |z| <= zmax."""
-    return r * (int(math.ceil(1.6 * zmax)) + 28)
-
-
-def kernel_log_peak(ser: LaurentSeries, zmax: float) -> float:
-    """log max_n |c_n| zmax^max(n, 0) over the trustworthy degrees of a
-    kernel series, or -inf when they all vanish.  Computed in logs, so the
-    peak term cannot itself overflow; the kernel-cancellation guards compare
-    it against their own thresholds."""
-    top = min(ser.valid_order, ser.n_max)
-    degs = np.arange(ser.n_min, top + 1)
-    mags = np.abs(ser.coeffs[: top - ser.n_min + 1])
-    nz = mags > 0
-    if not np.any(nz):
-        return -np.inf
-    return float(np.max(np.log(mags[nz]) + np.clip(degs[nz], 0, None) * np.log(zmax)))
+    r, a, theta = mu.r, mu.a, mu.cyclic.theta
+    if lam == 0:  # E_mu(0 x) = 1
+        if a[0] != 0.0:
+            raise DomainError("cannot substitute x -> 0 into a principal part")
+        return LaurentSeries(0, np.eye(1, N + 1)[0], N)
+    nr = np.arange(0, N + r, r)
+    cur = bessel_j_series(mu, N + r - 1).coeffs[nr]
+    coeffs = np.zeros(N + r, dtype=complex)
+    for k in range(r):
+        deg = nr - k
+        keep = deg <= N
+        coeffs[deg[keep] + r - 1] = theta ** (-k) * (cur[keep] * lam ** deg[keep])
+        cur = cur * (deg + a[k])
+    return LaurentSeries(1 - r, coeffs, N)
 
 
 def dunkl_kernel_values(mu: IndexVector, z, N: int | None = None):
-    """Point values of E_mu at complex arguments via the series."""
-    z = np.asarray(z, dtype=complex)
-    zmax = float(np.max(np.abs(z))) if z.size else 0.0
-    if N is None:
-        N = kernel_series_degree(mu.r, zmax)
-    ser = dunkl_kernel_series(mu, 1.0, N)
-    vals = evaluate(ser, z)
-    # cancellation guard: largest term magnitude against the result scale
-    if zmax > 1.0:
-        scale = max(float(np.min(np.abs(np.atleast_1d(vals)))), 1e-300)
-        if kernel_log_peak(ser, zmax) - np.log(scale) > np.log(1e12):
-            raise SeriesOverflowError(
-                f"kernel evaluation at |z| <= {zmax:.3g} loses more than 12 digits; "
-                f"reliable range is roughly |z| < 30"
-            )
-    return vals
+    """Point values of E_mu at complex arguments by the guarded Horner
+    evaluation of its series (``series.guarded_evaluate``)."""
+    return guarded_evaluate(lambda n: dunkl_kernel_series(mu, 1.0, n), mu.r, z, N)
 
 
 def bessel_eigen_residuals(mu: IndexVector, lam: complex, N: int) -> tuple[float, float]:

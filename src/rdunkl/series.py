@@ -13,11 +13,12 @@ common watermark.  This keeps truncation edge effects out of residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import DomainError, ParameterError
+from ._errors import DomainError, ParameterError, SeriesOverflowError
 
 #: relative threshold under which a coefficient counts as zero for grade checks
 GRADE_ZERO_TOL = 1e-13
@@ -223,6 +224,50 @@ def evaluate(f: LaurentSeries, x) -> complex | np.ndarray:
     if val.ndim == 0:
         return complex(val)
     return val
+
+
+def kernel_series_degree(r: int, zmax: float) -> int:
+    """Truncation degree of the kernel series for arguments |z| <= zmax."""
+    return r * (int(math.ceil(1.6 * zmax)) + 28)
+
+
+def kernel_log_peak(ser: LaurentSeries, zmax: float) -> float:
+    """log max_n |c_n| zmax^max(n, 0) over the trustworthy degrees of a
+    kernel series, or -inf when they all vanish.  Computed in logs, so the
+    peak term cannot itself overflow; the kernel-cancellation guards compare
+    it against their own thresholds."""
+    top = min(ser.valid_order, ser.n_max)
+    degs = np.arange(ser.n_min, top + 1)
+    mags = np.abs(ser.coeffs[: top - ser.n_min + 1])
+    nz = mags > 0
+    if not np.any(nz):
+        return -np.inf
+    return float(np.max(np.log(mags[nz]) + np.clip(degs[nz], 0, None) * np.log(zmax)))
+
+
+def guarded_evaluate(build, r: int, z, N: int | None = None):
+    """Values at complex ``z`` of the series ``build(N)`` of j_mu or E_mu
+    (order r), N by default ``kernel_series_degree(r, max |z|)`` up to 4000
+    terms of j_mu.  Raises SeriesOverflowError past that limit, for a value
+    that is not finite, and, at max |z| > 1, when the largest term exceeds
+    the smallest value by more than 1e12 (more than 12 digits cancel)."""
+    z = np.asarray(z, dtype=complex)
+    zmax = float(np.max(np.abs(z))) if z.size else 0.0
+    if N is None:
+        if not 1.6 * zmax <= 4000.0:  # also refuses inf and NaN
+            raise SeriesOverflowError(f"|z| = {zmax:.3g} needs more than 4000 series terms")
+        N = kernel_series_degree(r, zmax)
+    ser = build(N)
+    vals = evaluate(ser, z)
+    if not np.all(np.isfinite(vals)):
+        raise SeriesOverflowError(f"series value at |z| <= {zmax:.3g} is not finite")
+    if zmax > 1.0:
+        scale = max(float(np.min(np.abs(np.atleast_1d(vals)))), 1e-300)
+        if kernel_log_peak(ser, zmax) - np.log(scale) > np.log(1e12):
+            raise SeriesOverflowError(
+                f"series evaluation at |z| <= {zmax:.3g} loses more than 12 digits "
+                f"to cancellation")
+    return vals
 
 
 def series_residual(f: LaurentSeries, g: LaurentSeries, from_degree: int | None = None) -> float:

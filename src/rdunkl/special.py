@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, gammasgn
 
-from ._errors import ParameterError, PoleError, SeriesOverflowError
-from .series import CyclicStructure, LaurentSeries, exp_series, project_T
+from ._errors import ParameterError, PoleError
+from .series import CyclicStructure, LaurentSeries, exp_series, guarded_evaluate, project_T
 
 _NEG_INT_TOL = 1e-12
 
@@ -102,37 +102,9 @@ def bessel_j_series(mu: IndexVector, N: int) -> LaurentSeries:
 
 
 def bessel_j_value(mu: IndexVector, x) -> complex | np.ndarray:
-    """Adaptive point evaluation of j_mu: terms are added until the next one
-    drops below 1e-16 of the running sum and the degree has passed |x|."""
-    x = np.asarray(x, dtype=complex)
-    xr = x ** mu.r
-    rr = float(mu.r) ** mu.r
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    n = 0
-    maxabs = np.ones(np.shape(x))
-    while True:
-        denom = rr
-        for al in mu.alphas:
-            denom *= al + 1.0 + n
-        term = -term * xr / denom
-        total = total + term
-        n += 1
-        t = np.max(np.abs(term))
-        maxabs = np.maximum(maxabs, np.abs(term))
-        if t < 1e-16 * max(np.max(np.abs(total)), 1e-300) and n * mu.r > np.max(np.abs(x)):
-            break
-        if n > 4000:
-            raise SeriesOverflowError("j_mu series did not settle within 4000 terms")
-    loss = np.max(maxabs / np.maximum(np.abs(total), 1e-300))
-    if loss > 1e12:
-        raise SeriesOverflowError(
-            f"j_mu evaluation lost too many digits (cancellation {loss:.1e}); "
-            f"keep |x| below roughly {int(np.max(np.abs(x)))}"
-        )
-    if total.ndim == 0:
-        return complex(total)
-    return total
+    """Point values of j_mu by the guarded Horner evaluation of its series
+    (``series.guarded_evaluate``), the same rule as the kernel values."""
+    return guarded_evaluate(lambda N: bessel_j_series(mu, N), mu.r, x)
 
 
 def cos_r_series(c: CyclicStructure, N: int) -> LaurentSeries:

@@ -25,10 +25,10 @@ from scipy.special import gammaln
 from ._errors import ParameterError, SeriesOverflowError, TailWarning
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .reports import KIND_MEASURED, VerificationReport, make_report
-from .series import CyclicStructure, evaluate
+from .series import CyclicStructure, evaluate, kernel_log_peak, kernel_series_degree
 from .special import IndexVector
 from .hilbert import RayMap, RayTestFunction, ray_dunkl
-from .operators import dunkl_kernel_series, kernel_log_peak, kernel_series_degree
+from .operators import dunkl_kernel_series
 from .riemann_liouville import apply_R_adjoint
 from .transmutation import build_V_star
 
@@ -186,7 +186,7 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
     lam_abs = float(np.max(np.abs(lams), initial=0.0))
     ker = dunkl_kernel_series(mu, 1.0, kernel_series_degree(
         r, lam_abs * _kernel_Tmax(c, s, lam_abs)))
-    e = ker.coeffs[-ker.n_min: min(ker.valid_order, ker.n_max) - ker.n_min + 1]  # degrees >= 0
+    e = ker.coeffs[-ker.n_min:]  # e_0..e_N
     n = np.arange(len(e))
     gc = g.poly.coeffs
     d = g.poly.n_min + np.arange(len(gc))

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -214,3 +215,76 @@ def test_transform_ignores_nodes_and_matches_quadrature():
     for lam, re, im in rows:
         want = dunkl_transform_F(mu, 2.7, g, lam, n_nodes=400)
         assert abs(complex(re, im) - want) <= 1e-12 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("args,point", [
+    (("eval", "cosr", "--r", "3", "--x-grid", "0,2000"), "x=2000"),
+    (("eval", "cosr", "--r", "3", "--x-grid", "nan"), "x=nan"),
+    (("eval", "j", "--r", "2", "--alpha", "0,0.5", "--x-grid", "inf"), "x=inf"),
+])
+def test_eval_refuses_a_non_finite_value_quietly(args, point, capsys):
+    # one refusal path for every kind: exit 2, nothing on stdout, and the
+    # point named on stderr with no numpy warning before it
+    from rdunkl.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(args))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {point}: the value is not finite\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid", "0:3:0"),
+    ("eval", "j", "--r", "2", "--x-grid", "0:1:0"),
+])
+def test_empty_grid_is_refused(args, capsys):
+    from rdunkl.cli import main
+
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "has no points" in err
+
+
+#: the option strings of each subcommand: only the flags its command reads
+SUBCOMMAND_OPTIONS = {
+    "eval": {"--r", "--alpha", "--degree", "--x-grid"},
+    "verify": {"--r", "--seed", "--nodes", "--degree", "--tolerance-scale"},
+    "convert": {"--r", "--direction", "--values"},
+    "transform": {"--r", "--a", "--nodes", "--mu", "--lambda-grid", "--input"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    import argparse
+
+    from rdunkl.cli import build_parser
+
+    sub = next(act for act in build_parser()._actions
+               if isinstance(act, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, parser in sub.choices.items():
+        options = {opt for act in parser._actions for opt in act.option_strings
+                   if opt not in ("-h", "--help")}
+        assert options == SUBCOMMAND_OPTIONS[name], name
+    assert build_parser().parse_args(
+        ["transform", "--mu", "0,0.5", "--lambda-grid", "0:1:2"]).a == 1.0
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "j", "--r", "2", "--x-grid", "1", "--seed", "5"),
+    ("eval", "j", "--r", "2", "--x-grid", "1", "--json"),
+    ("verify", "eigen", "--r", "2", "--csv"),
+    ("convert", "--direction", "a-to-kappa", "--values", "0,3", "--degree", "3"),
+    ("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid", "0:1:2", "--alpha", "0,1"),
+])
+def test_dropped_flags_exit_2(args, capsys):
+    from rdunkl.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments" in err

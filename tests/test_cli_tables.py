@@ -176,3 +176,21 @@ def test_chain_factors_computed_once_per_degree(monkeypatch):
     assert calls and len(calls) == len(set(calls))
     # the chain is reached only at degrees 0 (mod r) below N + r
     assert len(calls) <= len(range(0, N + mu.r, mu.r)) * mu.r
+
+
+@pytest.mark.parametrize("kind, alphas", [
+    ("j", (0.0, 0.5, 0.25)),
+    ("E", (0.0, 0.5666666666666667, -0.6666666666666666)),
+    ("E", (0.0, 0.75, 0.5, 0.25)),
+])
+def test_eval_prints_the_degree_truncation_for_j_and_E(kind, alphas):
+    # at x near 2 the terms of degree ~20 still move the last bits, so the
+    # value pins which truncation is printed
+    mu = IndexVector(len(alphas), alphas)
+    xs = np.linspace(0, 2, 201)
+    for degree in (20, 24):
+        ser = (bessel_j_series(mu, degree + 10) if kind == "j"
+               else dunkl_kernel_series(mu, 1.0, degree + 10))
+        head = LaurentSeries(ser.n_min, ser.coeffs[: degree - ser.n_min + 1], degree)
+        got = _certified_series_values(mu, kind, degree, xs)
+        assert np.array_equal(got, evaluate(head, xs))

@@ -1,16 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
 
 import rdunkl as rd
+from rdunkl._errors import DomainError, SeriesOverflowError
 from rdunkl.operators import (
     apply_D_compositional,
     apply_L_chain,
     chain_expansion_closed_form,
-    kernel_log_peak,
     power_identity_residual,
     v_terms,
 )
-from rdunkl.series import monomial
+from rdunkl.series import kernel_log_peak, kernel_series_degree, monomial
 
 
 def test_lowering_operator_on_monomials():
@@ -157,6 +158,111 @@ def test_kernel_point_values_match_series():
     ser = rd.dunkl_kernel_series(mu, 1.0, 70)
     want = rd.evaluate(ser, z)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _d_chain_kernel_series(mu, lam, N):
+    """Oracle: the kernel as it was built before its closed form, the sum
+    of theta^(-k) (D^k j_mu)(lam x) over k < r; trustworthy through degree
+    N - r + 1."""
+    from rdunkl.series import lincomb
+
+    theta = mu.cyclic.theta
+    terms = []
+    cur = rd.bessel_j_series(mu, N)
+    for k in range(mu.r):
+        terms.append((theta ** (-k), rd.scale_argument(cur, lam)))
+        if k < mu.r - 1:
+            cur = rd.apply_D(mu, cur)
+    return lincomb(terms)
+
+
+def _kernel_index(r, alpha0):
+    rng = np.random.default_rng(70 + r)
+    return rd.IndexVector(r, (alpha0,) + tuple(rng.uniform(-0.4, 1.5, r - 1)))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("alpha0", [0.0, 0.35])
+@pytest.mark.parametrize("lam", [1.0, 0.7 + 0.4j])
+def test_kernel_series_bit_identical_to_d_chain(r, alpha0, lam):
+    mu = _kernel_index(r, alpha0)
+    for N in (0, r - 1, 60, 200):
+        old = _d_chain_kernel_series(mu, lam, N)
+        new = rd.dunkl_kernel_series(mu, lam, N)
+        assert (new.n_min, new.n_max, new.valid_order) == (old.n_min, N, N)
+        assert old.valid_order == N - r + 1
+        top = old.valid_order - old.n_min + 1
+        assert np.array_equal(new.coeffs[:top], old.coeffs[:top])
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_kernel_series_at_lam_zero(r):
+    # E_mu(0 x) = 1; the D-chain build reached lam = 0 only at N = 0 (its
+    # scalar substitution kept a valid_order above the one stored degree)
+    mu = _kernel_index(r, 0.0)
+    old = _d_chain_kernel_series(mu, 0.0, 0)
+    for N in (0, r - 1, 60, 200):
+        new = rd.dunkl_kernel_series(mu, 0.0, N)
+        assert (new.n_min, new.valid_order) == (0, N)
+        assert np.array_equal(new.coeffs, np.eye(1, N + 1)[0])
+    assert np.array_equal(rd.dunkl_kernel_series(mu, 0.0, 0).coeffs, old.coeffs)
+    singular = _kernel_index(r, 0.35)
+    with pytest.raises(DomainError):
+        _d_chain_kernel_series(singular, 0.0, 0)
+    for N in (0, 60):
+        with pytest.raises(DomainError):
+            rd.dunkl_kernel_series(singular, 0.0, N)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_kernel_series_top_degrees_match_mpmath(r):
+    # alpha_0 = 0: e_n = theta^n / prod_{i<=n} (i + a_{(-i) mod r}); past
+    # n ~ 165 the coefficients are subnormal, so N stops at 150
+    mu = _kernel_index(r, 0.0)
+    for N in (r - 1, 60, 150):
+        E = rd.dunkl_kernel_series(mu, 1.0, N)
+        for n in range(N - r + 2, N + 1):  # the degrees the D-chain left untrustworthy
+            with mpmath.workdps(40):
+                want = complex(mpmath.exp(1j * mpmath.pi * n / r) / mpmath.fprod(
+                    i + mpmath.mpf(mu.a[(-i) % r]) for i in range(1, n + 1)))
+            assert abs(E[n] - want) <= 1e-14 * abs(want)
+
+
+def _d_chain_kernel_values(mu, z):
+    """Oracle: the kernel values as computed before the shared evaluator."""
+    z = np.asarray(z, dtype=complex)
+    zmax = float(np.max(np.abs(z)))
+    ser = _d_chain_kernel_series(mu, 1.0, kernel_series_degree(mu.r, zmax))
+    vals = rd.evaluate(ser, z)
+    if zmax > 1.0:
+        scale = max(float(np.min(np.abs(np.atleast_1d(vals)))), 1e-300)
+        if kernel_log_peak(ser, zmax) - np.log(scale) > np.log(1e12):
+            raise SeriesOverflowError("cancellation")
+    return vals
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_kernel_values_refuse_where_the_d_chain_did(r):
+    from rdunkl.operators import dunkl_kernel_values
+
+    rng = np.random.default_rng(100 + r)
+    mus = [rd.IndexVector(r, al) for al in (
+        tuple(-k / r for k in range(r)), (0.0,) + tuple(rng.uniform(-0.4, 1.5, r - 1)),
+        tuple(rng.uniform(-0.4, 1.5, r)))]
+    seen = set()
+    for mu in mus:
+        for ax in (5, 10, 15, 20, 30, 40, 60, 80):
+            for z in (ax, -ax, ax * np.exp(1j * np.pi / (2 * r)), 1j * ax):
+                outcomes = []
+                for fn in (_d_chain_kernel_values, dunkl_kernel_values):
+                    try:
+                        fn(mu, np.array([z]))
+                        outcomes.append("value")
+                    except SeriesOverflowError:
+                        outcomes.append("refused")
+                assert outcomes[0] == outcomes[1], (mu.alphas, z, outcomes)
+                seen.add(outcomes[0])
+    assert seen == {"value", "refused"}
 
 
 def test_case_recurrences():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rdunkl as rd
-from rdunkl._errors import PoleError, ParameterError
+from rdunkl._errors import PoleError, ParameterError, SeriesOverflowError
 from rdunkl.special import gamma_ratio
 
 
@@ -75,6 +75,77 @@ def test_bessel_j_value_adaptive_matches_series():
     j = rd.bessel_j_series(mu, 90)
     for x in (0.3, 1.0, 2.5, 4.0 + 1.0j):
         assert abs(rd.bessel_j_value(mu, x) - rd.evaluate(j, x)) < 1e-12
+
+
+def _recurrence_bessel_j_value(mu, x):
+    """Oracle: j_mu by its own term recurrence, as evaluated before the
+    shared series evaluator: terms are added until the next one drops below
+    1e-16 of the sum and the degree has passed |x|, and the value is refused
+    when the largest term exceeds it by more than 1e12."""
+    x = np.asarray(x, dtype=complex)
+    xr, rr = x ** mu.r, float(mu.r) ** mu.r
+    total, term, maxabs, n = np.ones_like(x), np.ones_like(x), np.ones(np.shape(x)), 0
+    while True:
+        denom = rr
+        for al in mu.alphas:
+            denom *= al + 1.0 + n
+        term = -term * xr / denom
+        total = total + term
+        n += 1
+        maxabs = np.maximum(maxabs, np.abs(term))
+        if (np.max(np.abs(term)) < 1e-16 * max(np.max(np.abs(total)), 1e-300)
+                and n * mu.r > np.max(np.abs(x))):
+            break
+        if n > 4000:
+            raise SeriesOverflowError("did not settle")
+    if np.max(maxabs / np.maximum(np.abs(total), 1e-300)) > 1e12:
+        raise SeriesOverflowError("cancellation")
+    return complex(total) if total.ndim == 0 else total
+
+
+def _bessel_indices(r):
+    rng = np.random.default_rng(100 + r)
+    return [rd.IndexVector(r, al) for al in (
+        tuple(-k / r for k in range(r)), (0.0,) + tuple(rng.uniform(-0.4, 1.5, r - 1)),
+        tuple(rng.uniform(-0.4, 1.5, r)), (0.0,) + tuple(rng.uniform(0.0, 0.9, r - 1)))]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_bessel_j_value_refuses_where_the_recurrence_did(r):
+    # at r = 2, 3 the grid reaches the refused range; at r = 4, 5 it does not
+    seen = set()
+    for mu in _bessel_indices(r):
+        for ax in (5, 10, 15, 20, 30, 40, 60, 80):
+            for x in (ax, -ax, ax * np.exp(1j * np.pi / (2 * r)), 1j * ax):
+                outcomes = []
+                for fn in (_recurrence_bessel_j_value, rd.bessel_j_value):
+                    try:
+                        fn(mu, x)
+                        outcomes.append("value")
+                    except SeriesOverflowError:
+                        outcomes.append("refused")
+                assert outcomes[0] == outcomes[1], (mu.alphas, x, outcomes)
+                seen.add(outcomes[0])
+    assert seen == ({"value", "refused"} if r <= 3 else {"value"})
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_bessel_j_value_matches_mpmath(r):
+    # j_mu = 1F_r(1; alpha_0 + 1, ..., alpha_{r-1} + 1; -(x/r)^r)
+    for mu in _bessel_indices(r):
+        for x in (0.5, 2.0, 5.0, -7.5, 10.0, -10.0, 6 + 8j, 10j):
+            got = rd.bessel_j_value(mu, x)
+            with mpmath.workdps(40):
+                want = complex(mpmath.hyper([1], [mpmath.mpf(al) + 1 for al in mu.alphas],
+                                            -(mpmath.mpmathify(complex(x)) / r) ** r))
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), (mu.alphas, x)
+
+
+def test_bessel_j_value_refuses_non_finite_and_huge_arguments():
+    mu = rd.IndexVector(3, (0.0, 0.5, 0.25))
+    for x in (np.inf, np.nan, 1e6):
+        with pytest.raises(SeriesOverflowError):
+            rd.bessel_j_value(mu, x)
 
 
 def test_cos_r_series_values():

@@ -6,9 +6,8 @@ from scipy.integrate import quad
 import rdunkl as rd
 from rdunkl._errors import ParameterError, SeriesOverflowError, TailWarning
 from rdunkl.hilbert import ray_poly
-from rdunkl.operators import kernel_series_degree
 from rdunkl.quadrature import gauss_legendre_rule
-from rdunkl.series import CyclicStructure
+from rdunkl.series import CyclicStructure, kernel_series_degree
 from rdunkl.transforms import (
     dunkl_transform_F,
     dunkl_transform_inverse,
