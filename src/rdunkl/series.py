@@ -166,7 +166,11 @@ def scale_argument(f: LaurentSeries, lam: complex) -> LaurentSeries:
     if lam == 0:
         if f.has_principal_part(GRADE_ZERO_TOL):
             raise DomainError("cannot substitute x -> 0 into a principal part")
-        return LaurentSeries(0, np.array([f[0]]), f.valid_order if f.valid_order >= 0 else 0)
+        # f(0 x) is the constant c_0 exactly: zeros through valid_order
+        valid = max(f.valid_order, 0)
+        coeffs = np.zeros(valid + 1, dtype=complex)
+        coeffs[0] = f[0]
+        return LaurentSeries(0, coeffs, valid)
     degs = np.arange(f.n_min, f.n_max + 1)
     return LaurentSeries(f.n_min, f.coeffs * lam ** degs, f.valid_order, f.grade, f.r)
 

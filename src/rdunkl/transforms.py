@@ -175,7 +175,8 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
 
     Returns ``(values, error)``: ``error = 100 u sum_n |coef_n| |lam|^n``
     (u the double epsilon) estimates the rounding error of each value; it
-    is inf or NaN where the magnitudes overflow.
+    is inf or NaN where the magnitudes overflow.  A non-finite lam gets a
+    non-finite value and does not enter the truncation degree.
     """
     if abs(mu.alphas[0]) > 1e-12:
         raise ParameterError("the transform kernel needs alpha_0 = 0")
@@ -183,7 +184,7 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
         raise ParameterError("the weight exponent must satisfy a >= 0")
     c, r, s = mu.cyclic, mu.r, g.decay_scale
     lams = np.asarray(lams, dtype=complex)
-    lam_abs = float(np.max(np.abs(lams), initial=0.0))
+    lam_abs = float(np.max(np.abs(lams), initial=0.0, where=np.isfinite(lams)))
     ker = dunkl_kernel_series(mu, 1.0, kernel_series_degree(
         r, lam_abs * _kernel_Tmax(c, s, lam_abs)))
     e = ker.coeffs[-ker.n_min:]  # e_0..e_N
@@ -287,8 +288,8 @@ def grade_transport_check(g, k: int, mu: IndexVector, a: float,
 
 def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
                             grade_k: int, cshift: float = 1.0, T: float = 40.0,
-                            n_contour: int = 4000, grid_points: int = 72,
-                            grid_max: float | None = None, rl_nodes: int = 48) -> complex:
+                            grid_points: int = 72, grid_max: float | None = None,
+                            rl_nodes: int = 48) -> complex:
     """Inverse transform on the r = 2 path: contour-invert the Laplace-type
     transform, divide the |x|^a weight, and undo the transposed transmutation
     by collocation.
@@ -297,6 +298,11 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
     the bilinear transform gives u(t) = t^a (V^T g)(t) = L_theta^{-1}[Ghat](t)
     on t > 0; the remaining Volterra-type equation along the ray is solved on
     a Chebyshev grid by polynomial collocation.
+
+    The contour integral is a trapezoid sum on [-T, T] whose step dy puts
+    the Poisson-summation aliases of the preimage at multiples of 2 pi/dy
+    >= 4 grid_max, so none reaches the collocation grid (0, grid_max]:
+    n = ceil(4 T grid_max / pi) + 1 nodes, 489 at the defaults.
     """
     if mu.r != 2:
         raise ParameterError("the inversion round trip is implemented for r = 2 only")
@@ -314,7 +320,7 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
 
     # contour values are shared by every grid point, so invert in one pass;
     # the reduction uses np.sum per point to keep the output bit-stable
-    y = np.linspace(-T, T, n_contour)
+    y = np.linspace(-T, T, int(np.ceil(4.0 * T * grid_max / np.pi)) + 1)
     dy = y[1] - y[0]
     s = (-cshift + 1j * y) * np.conj(c.theta)
     Gv = np.asarray(Ghat(s), dtype=complex) * _taper(y, T) * dy / (2.0 * np.pi)
@@ -355,15 +361,16 @@ def _bary_matrix(grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Interpolation matrix B with (B v)[i] = p_v(pts[i]) for the polynomial
     through (grid, v)."""
     w = _bary_weights(grid)
-    B = np.zeros((len(pts), len(grid)))
-    for i, x in enumerate(pts):
-        d = x - grid
-        hit = np.where(np.abs(d) < 1e-14)[0]
-        if hit.size:
-            B[i, hit[0]] = 1.0
-            continue
+    d = pts[:, None] - grid
+    with np.errstate(divide="ignore", invalid="ignore"):
         terms = w / d
-        B[i, :] = terms / np.sum(terms)
+        B = terms / np.sum(terms, axis=1, keepdims=True)
+    # a point on a grid node takes that node's value: a unit row at its
+    # first hit
+    hit = np.abs(d) < 1e-14
+    on_node = np.flatnonzero(np.any(hit, axis=1))
+    B[on_node] = 0.0
+    B[on_node, np.argmax(hit[on_node], axis=1)] = 1.0
     return B
 
 

@@ -435,8 +435,7 @@ def suite_transform(r, seed, nodes, degree, tol_scale=1.0):
             return ((np.exp(1j * np.outer(s, tq)) * (wq * u_p)).sum(axis=1)
                     + (np.exp(-1j * np.outer(s, tq)) * (wq * u_m)).sum(axis=1))
 
-        got = tf.dunkl_transform_inverse(mu, a, Ghat, 1.0, grade_k=1,
-                                         cshift=1.0, T=40.0, n_contour=4000)
+        got = tf.dunkl_transform_inverse(mu, a, Ghat, 1.0, grade_k=1, cshift=1.0, T=40.0)
         out.append(make_report("transform.inverse_round_trip", {"r": 2, "x": 1.0},
                                abs(got - np.exp(-1.0)), 1e-3 * tol_scale))
     if r == 3:

@@ -221,10 +221,13 @@ def test_transform_ignores_nodes_and_matches_quadrature():
     (("eval", "cosr", "--r", "3", "--x-grid", "0,2000"), "x=2000"),
     (("eval", "cosr", "--r", "3", "--x-grid", "nan"), "x=nan"),
     (("eval", "j", "--r", "2", "--alpha", "0,0.5", "--x-grid", "inf"), "x=inf"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid", "inf"), "lambda=inf"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid", "1,nan"), "lambda=nan"),
+    (("transform", "--r", "3", "--mu", "0,0.5,0.25", "--lambda-grid=-inf,2"), "lambda=-inf"),
 ])
 def test_eval_refuses_a_non_finite_value_quietly(args, point, capsys):
-    # one refusal path for every kind: exit 2, nothing on stdout, and the
-    # point named on stderr with no numpy warning before it
+    # one refusal path for every kind and for transform: exit 2, nothing on
+    # stdout, and the point named on stderr with no numpy warning before it
     from rdunkl.cli import main
 
     with warnings.catch_warnings():

@@ -128,6 +128,16 @@ def test_evaluate_constant_and_principal():
     assert rd.evaluate(rd.mul_x_power(rd.LaurentSeries(0, np.array([1.0, 1.0])), 1), 2.0) == 6.0
 
 
+def test_scale_argument_by_zero_is_the_constant_term():
+    mu = rd.IndexVector(3, (0.0, 0.5, 0.25))
+    j = rd.bessel_j_series(mu, 5)
+    z = rd.scale_argument(j, 0)
+    assert (z.n_min, z.valid_order) == (0, j.valid_order)
+    assert z[0] == j[0] and not np.any(z.coeffs[1:])
+    with pytest.raises(DomainError):
+        rd.scale_argument(rd.monomial(-1), 0)
+
+
 def test_evaluate_principal_at_zero_raises():
     with pytest.raises(DomainError):
         rd.evaluate(rd.monomial(-1), 0.0)

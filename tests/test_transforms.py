@@ -1,3 +1,6 @@
+import inspect
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from rdunkl.hilbert import ray_poly
 from rdunkl.quadrature import gauss_legendre_rule
 from rdunkl.series import CyclicStructure, kernel_series_degree
 from rdunkl.transforms import (
+    _bary_matrix,
+    _bary_weights,
     dunkl_transform_F,
     dunkl_transform_inverse,
     eigen_property_check,
@@ -293,6 +298,81 @@ def test_inverse_wrong_grade_is_a_negative_control():
     Ghat = _forward_oracle(mu, a, g, c2)
     bad = dunkl_transform_inverse(mu, a, Ghat, 1.0, grade_k=0, T=40.0)
     assert abs(bad - np.exp(-1.0)) > 1e-2
+
+
+@pytest.mark.parametrize("x", [0.3, 0.8, 1.0, 1.7, 2.5])
+def test_inverse_recovers_the_preimage_to_roundoff(x):
+    # the aliasing-sized contour keeps the whole inversion near roundoff
+    alpha = 0.5
+    a = 2 * alpha + 1.0
+    mu = rd.IndexVector(2, (0.0, alpha))
+    c2 = CyclicStructure(2)
+    Ghat = _forward_oracle(mu, a, ray_poly(c2, [0.0, 1.0]), c2)
+    got = dunkl_transform_inverse(mu, a, Ghat, x, grade_k=1, T=40.0)
+    assert abs(got - x * np.exp(-x * x)) <= 1e-11
+
+
+def test_inverse_contour_has_no_node_count_knob():
+    # the trapezoid step follows from T and grid_max (the aliasing condition)
+    assert "n_contour" not in inspect.signature(dunkl_transform_inverse).parameters
+
+
+def test_suite_transform_r2_memory_peak():
+    from rdunkl.verify import suite_transform
+
+    suite_transform(2, 0, 48, 60)  # warm the per-process rule caches
+    tracemalloc.start()
+    try:
+        suite_transform(2, 0, 48, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+def _bary_matrix_loop(grid, pts):
+    # the per-point loop the one-pass _bary_matrix replaced
+    w = _bary_weights(grid)
+    B = np.zeros((len(pts), len(grid)))
+    for i, x in enumerate(pts):
+        d = x - grid
+        hit = np.where(np.abs(d) < 1e-14)[0]
+        if hit.size:
+            B[i, hit[0]] = 1.0
+            continue
+        terms = w / d
+        B[i, :] = terms / np.sum(terms)
+    return B
+
+
+def _cheb_grid(n=72, top=9.5746):
+    j = np.arange(n)
+    return np.sort(np.clip(top * 0.5 * (1.0 - np.cos(np.pi * (j + 0.5) / n)), 1e-3, None))
+
+
+def test_bary_matrix_matches_the_point_loop_bit_for_bit():
+    grid = _cheb_grid()
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([rng.uniform(0.0, grid[-1], 5000), grid[::9],
+                          grid[3:4] + 5e-15, [grid[0]]])
+    rng.shuffle(pts)
+    B = _bary_matrix(grid, pts)
+    assert np.array_equal(B, _bary_matrix_loop(grid, pts))
+    on_node = np.isin(pts, grid)
+    assert np.all(B[on_node].max(axis=1) == 1.0) and np.all(B[on_node].sum(axis=1) == 1.0)
+
+
+def test_ray_volterra_solve_matches_the_point_loop(monkeypatch):
+    # the collocation basis evaluates _bary_matrix on quadrature points, some
+    # past grid[-1] (zero rows there); the solve must not move a bit
+    import rdunkl.transforms as tf
+
+    grid = _cheb_grid()
+    target = np.exp(-grid ** 2) * (1.0 + 0.5j * grid)
+    got = tf._solve_ray_volterra(target, grid, 1.0, 2.0, 2, grid[-1], 48)
+    monkeypatch.setattr(tf, "_bary_matrix", _bary_matrix_loop)
+    want = tf._solve_ray_volterra(target, grid, 1.0, 2.0, 2, grid[-1], 48)
+    assert np.array_equal(got, want)
 
 
 def test_inverse_r3_rejected():
