@@ -65,7 +65,10 @@ def _parse_grid(text: str):
     # "start:stop:num" or a comma list
     if ":" in text:
         start, stop, num = text.split(":")
-        grid = np.linspace(float(start), float(stop), int(num))
+        start, stop = float(start), float(stop)
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise ParameterError(f"grid {text!r} needs a finite start and stop")
+        grid = np.linspace(start, stop, int(num))
     else:
         grid = np.array([float(x) for x in text.split(",")])
     if grid.size < 1:

@@ -3,6 +3,14 @@
 Every singular endpoint in the package is mapped onto a Jacobi weight
 (1 - v)^p v^q before quadrature, which keeps the rules spectrally accurate.
 
+A Jacobi rule is built by Golub-Welsch from the three-term recurrence of
+the monic Jacobi polynomials, mapped onto [0, 1]: the nodes are the
+eigenvalues of the symmetric tridiagonal Jacobi matrix, and the weights
+are B(p + 1, q + 1) times the squared first components of its
+eigenvectors.  The first recurrence coefficients are always written in
+their cancelled forms, so p + q = 0 or -1 (or within rounding of them)
+divides no rounding residue.
+
 Reference rules (Jacobi on [0, 1], Legendre on [-1, 1]) are pure functions
 of their parameters, so each is built once per process and shared: their
 arrays are read-only, and callers copy before editing in place.
@@ -12,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lgamma
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from ._errors import ParameterError
 
@@ -58,8 +66,22 @@ _RULE_CACHE_SIZE = 256
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _jacobi_reference(p: float, q: float, n: int):
-    x, w = roots_jacobi(n, p, q)
-    return _frozen(0.5 * (x + 1.0)), _frozen(w / 2.0 ** (p + q + 1.0))
+    # recurrence of the monic Jacobi polynomials for (1-x)^p (1+x)^q on
+    # [-1, 1]: alpha_0 and beta_1 in the cancelled forms of Gautschi's
+    # r_jacobi, the general forms from alpha_1 and from beta_2 on
+    s = p + q
+    k = np.arange(1.0, n)
+    t = 2.0 * k + s
+    alpha = np.concatenate(([(q - p) / (s + 2.0)], (q * q - p * p) / (t * (t + 2.0))))
+    k, t = k[1:], t[1:]
+    beta = np.concatenate((
+        [4.0 * (1.0 + p) * (1.0 + q) / ((2.0 + s) ** 2 * (3.0 + s))],
+        4.0 * k * (k + p) * (k + q) * (k + s) / (t * t * (t + 1.0) * (t - 1.0))))[: n - 1]
+    # the Jacobi matrix of v = (1 + x)/2 on [0, 1]; eigh reads its lower triangle
+    J = np.diag(0.5 * (1.0 + alpha)) + np.diag(0.5 * np.sqrt(beta), -1)
+    nodes, vecs = np.linalg.eigh(J)
+    mass = np.exp(lgamma(p + 1.0) + lgamma(q + 1.0) - lgamma(s + 2.0))  # B(p+1, q+1)
+    return _frozen(nodes), _frozen(mass * vecs[0] ** 2)
 
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)

@@ -13,10 +13,10 @@ normalized Bessel function, and for alpha_k = -k/r it degenerates to cos_r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from ._errors import ParameterError, PoleError
 from .series import CyclicStructure, LaurentSeries, exp_series, guarded_evaluate, project_T
@@ -26,6 +26,11 @@ _NEG_INT_TOL = 1e-12
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= _NEG_INT_TOL and abs(x - round(x)) < _NEG_INT_TOL
+
+
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) off its poles: negative on (-2k-1, -2k)."""
+    return 1.0 if x > 0 or math.floor(x) % 2 == 0 else -1.0
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,11 @@ def pochhammer(beta: float, n: int) -> float:
         for j in range(n):
             out *= beta + j
         return out
-    sign = gammasgn(beta + n) * gammasgn(beta)
-    return sign * np.exp(gammaln(beta + n) - gammaln(beta))
+    if beta <= 0 and beta == round(beta):
+        # Gamma(beta) is a pole: reflect, (beta)_n = (-1)^n (1 - beta - n)_n
+        return (-1.0) ** n * pochhammer(1.0 - beta - n, n)
+    sign = _gamma_sign(beta + n) * _gamma_sign(beta)
+    return sign * np.exp(math.lgamma(beta + n) - math.lgamma(beta))
 
 
 def bessel_j_series(mu: IndexVector, N: int) -> LaurentSeries:
@@ -161,11 +169,11 @@ def gamma_ratio(numerator, denominator) -> float:
     for v in numerator:
         if _is_nonpositive_integer(v):
             raise PoleError(f"Gamma({v}) pole in a ratio numerator")
-        log += gammaln(v)
-        sign *= gammasgn(v)
+        log += math.lgamma(v)
+        sign *= _gamma_sign(v)
     for v in denominator:
         if _is_nonpositive_integer(v):
             return 0.0  # Gamma pole downstairs kills the ratio
-        log -= gammaln(v)
-        sign *= gammasgn(v)
+        log -= math.lgamma(v)
+        sign *= _gamma_sign(v)
     return sign * float(np.exp(log))

@@ -17,10 +17,10 @@ F(D g) = -theta lam F(g) holds exactly whenever that transpose equals -D
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._errors import ParameterError, SeriesOverflowError, TailWarning
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
@@ -196,9 +196,10 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
     if np.any(paired & (p <= 0)):
         raise ParameterError("the transform integral diverges at the origin for this input")
     # |e_n| Gamma(p) s^(-p) in logs: Gamma overflows where e_n underflows
-    e_abs = np.abs(e)
+    log_gamma = np.zeros(p.shape)
+    log_gamma[paired] = [math.lgamma(x) for x in p[paired].tolist()]
     with np.errstate(divide="ignore"):
-        log_mag = np.log(e_abs) + gammaln(np.where(paired, p, 1.0)) - p * np.log(s)
+        log_mag = np.log(np.abs(e)) + log_gamma - p * np.log(s)
     coef = np.exp(1j * np.angle(e)) * (gc @ np.exp(np.where(paired, log_mag, -np.inf)))
     lam_mag, coef_mag = np.abs(lams), np.abs(coef)
     vals = np.zeros_like(lams)

@@ -251,6 +251,21 @@ def test_empty_grid_is_refused(args, capsys):
     assert "has no points" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("eval", "j", "--r", "2", "--alpha", "0,0.5", "--x-grid=0:inf:3"),
+    ("eval", "E", "--r", "2", "--alpha", "0,0.5", "--x-grid=-inf:1:3"),
+    ("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid=0:inf:3"),
+    ("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid=nan:1:3"),
+])
+def test_non_finite_grid_end_is_refused_before_linspace(args):
+    # in a fresh process, so a numpy warning printed once and then
+    # suppressed by the warnings registry cannot hide
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "needs a finite start and stop" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 #: the option strings of each subcommand: only the flags its command reads
 SUBCOMMAND_OPTIONS = {
     "eval": {"--r", "--alpha", "--degree", "--x-grid"},

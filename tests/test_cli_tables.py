@@ -144,7 +144,7 @@ GOLDEN = [
      "ce7d70582d8dbb7fb5055d2479d82bf4aae11d5118cf5f32660e04077f8651c8"),
     (("transform", "--r", "2", "--mu", "0,0.5", "--a", "2", "--input", "poly:0,1",
       "--lambda-grid=-3:3:41"),
-     "6c29100b33da7341ca3877deaa436aef6aa460ba7eecc5d3ce89b5d9045a1d9d"),
+     "036a92ba2cb29c0370ffa205046f0ae2bafa88bc6b040610f1a4af3b7a9e1a96"),
     (("transform", "--r", "4", "--mu", "0,0.5,0.5,0.5", "--a", "2", "--input", "gaussian",
       "--lambda-grid=-2.8:2.8:41"),
      "4bb6cde7925eb0d1191ba2dafcccc64812e472a674aead168907fcffb5bc438d"),

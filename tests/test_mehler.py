@@ -352,3 +352,18 @@ def test_mehler_j_memory_bounded():
     assert peak < 64 * 2 ** 20
     want = rd.bessel_j_value(R5_FULL, 1.7)
     assert abs(got - want) / (1 + abs(want)) < 1e-12
+
+
+def test_mehler_E_weight_with_p_plus_q_minus_one_is_quiet():
+    # alpha = (0, 0, 0) at r = 3 gives Jacobi weights with p + q = -1, where
+    # the uncancelled first recurrence coefficient divides by zero
+    import warnings
+
+    from rdunkl.operators import dunkl_kernel_values
+
+    mu = rd.IndexVector(3, (0.0, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mehler_E(mu, 1.3)
+    want = complex(dunkl_kernel_values(mu, 1.3))
+    assert abs(got - want) < 1e-12 * abs(want)

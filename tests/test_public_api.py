@@ -1,6 +1,8 @@
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import rdunkl
 
@@ -28,3 +30,11 @@ def test_no_public_function_is_a_generator():
     gens = [name for name, fn in _public_functions()
             if inspect.isgeneratorfunction(fn) or inspect.isasyncgenfunction(fn)]
     assert not gens
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; in a fresh interpreter, since the
+    # test modules themselves import it
+    code = "import sys, rdunkl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

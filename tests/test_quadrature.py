@@ -1,9 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
 
 from rdunkl._errors import ParameterError
-from rdunkl.quadrature import gauss_jacobi_rule, gauss_legendre_rule
+from rdunkl.quadrature import _jacobi_reference, gauss_jacobi_rule, gauss_legendre_rule
 
 JACOBI_KEYS = [(0.0, 0.0, 1), (0.0, 0.5, 16), (-0.4, 1.7, 48), (2.3, -0.9, 200)]
 LEGENDRE_CASES = [(1, 0.0, 1.0), (12, -1.0, 1.0), (48, 2.0, 8.0), (400, 0.0, 60.0)]
@@ -11,11 +11,48 @@ LEGENDRE_CASES = [(1, 0.0, 1.0), (12, -1.0, 1.0), (48, 2.0, 8.0), (400, 0.0, 60.
 
 @pytest.mark.parametrize("p,q,n", JACOBI_KEYS)
 def test_jacobi_rule_equals_uncached_formula(p, q, n):
-    x, w = roots_jacobi(n, p, q)
+    x, w = _jacobi_reference.__wrapped__(float(p), float(q), n)
     rule = gauss_jacobi_rule(p, q, n)
-    assert np.array_equal(rule.nodes, 0.5 * (x + 1.0))
-    assert np.array_equal(rule.weights, w / 2.0 ** (p + q + 1.0))
+    assert np.array_equal(rule.nodes, x)
+    assert np.array_equal(rule.weights, w)
     assert rule.kind == f"gauss_jacobi({p},{q})"
+
+
+# p + q = 0 and -1, and within one rounding of them: 0.6666666666666665 and
+# -0.6666666666666666 are the r = 3, alpha_2 = 1 Mehler parameters
+# alpha_2 + 2/3 - 1 and -2/3, whose sum is -1.1e-16
+JACOBI_EDGE_PARAMS = [
+    (0.0, 0.0), (0.5, -0.5), (-0.5, -0.5), (-0.25, -0.75),
+    (0.6666666666666665, -0.6666666666666666),
+    (-0.3, float(np.nextafter(-0.7, -1.0))), (-0.3, float(np.nextafter(-0.7, 0.0))),
+    (-0.9, 2.3), (-0.99, -0.99),
+]
+
+
+def _jacobi_integral(moment_coeffs, p, q):
+    # integral_0^1 f(v) (1-v)^p v^q dv = sum_m f_m B(q + m + 1, p + 1) for
+    # f = sum_m f_m v^m, with p and q converted to mpf exactly
+    p, q = mp.mpf(p), mp.mpf(q)
+    return mp.fsum(f_m * mp.beta(q + m + 1, p + 1) for m, f_m in moment_coeffs)
+
+
+@pytest.mark.parametrize("p,q", JACOBI_EDGE_PARAMS)
+@pytest.mark.parametrize("n", [1, 2, 48, 96, 192, 384])
+def test_jacobi_rule_against_mpmath(p, q, n):
+    x, w = _jacobi_reference.__wrapped__(p, q, n)
+    assert x.shape == w.shape == (n,)
+    assert np.all((x > 0.0) & (x < 1.0)) and np.all(w > 0.0)
+    with mp.workdps(30):
+        if n <= 2:
+            # exact on v^m for m <= 2n - 1: the sum 1 + v + ... + v^(2n-1)
+            fx = sum(x ** m for m in range(2 * n))
+            moments = [(m, 1) for m in range(2 * n)]
+        else:
+            # cos(5 v) = sum_k (-25)^k v^(2k) / (2k)!, the terms past k = 60 below 1e-110
+            fx = np.cos(5.0 * x)
+            moments = [(2 * k, mp.mpf(-25) ** k / mp.factorial(2 * k)) for k in range(61)]
+        want = _jacobi_integral(moments, p, q)
+    assert abs(float(np.sum(w * fx)) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("n,a,b", LEGENDRE_CASES)

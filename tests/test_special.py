@@ -221,3 +221,28 @@ def test_gamma_ratio_matches_math_gamma():
     got = gamma_ratio([2.3, 0.7], [1.9])
     want = math.gamma(2.3) * math.gamma(0.7) / math.gamma(1.9)
     assert abs(got - want) / abs(want) < 1e-13
+
+
+@pytest.mark.parametrize("num, den", [
+    ([-0.5], []), ([-2.3], []), ([-0.5, 2.3], [-2.3]), ([1.7], [-0.5, -3.7]),
+    ([-4.5, -1.2], [-6.1, 0.4]),
+])
+def test_gamma_ratio_sign_at_negative_arguments(num, den):
+    with mpmath.workdps(30):
+        want = mpmath.fprod(mpmath.gamma(mpmath.mpf(v)) for v in num) / mpmath.fprod(
+            mpmath.gamma(mpmath.mpf(v)) for v in den)
+    got = gamma_ratio(num, den)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("beta, n", [
+    (-0.5, 65), (-2.3, 70), (-2.3, 71), (-70.5, 65), (-70.5, 80), (-100.0, 65), (-101.0, 90),
+])
+def test_pochhammer_beyond_64_at_negative_beta(beta, n):
+    # the log-gamma path with the sign of Gamma at both ends; a negative
+    # integer beta whose factors all stay nonzero goes through the reflection
+    with mpmath.workdps(30):
+        want = mpmath.rf(mpmath.mpf(beta), n)
+    got = rd.pochhammer(beta, n)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert abs(got - want) <= 1e-12 * abs(want)
