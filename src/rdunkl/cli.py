@@ -117,7 +117,7 @@ _FLAGS = {
     "--nodes": dict(type=_int_at_least(1), default=48, help="quadrature nodes per dimension"),
     "--degree": dict(type=_int_at_least(0), default=60, help="series truncation degree"),
     "--tolerance-scale": dict(type=float, default=1.0,
-                              help="multiplies every gated tolerance"),
+                              help="multiplies the tolerance of every residual-below check"),
 }
 
 

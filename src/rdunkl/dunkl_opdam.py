@@ -89,15 +89,3 @@ def a_to_kappa(a_list, c: CyclicStructure):
     kappas = [complex(np.sum(b * np.exp(2j * np.pi * np.arange(r) * tt / r)) / r)
               for tt in range(1, r)]
     return KappaVector(r, tuple(kappas))
-
-
-def to_index_vector(a_list, r: int):
-    """Build the index vector from real coefficients a_k = r alpha_k + k,
-    rejecting nonvanishing imaginary parts."""
-    from .special import IndexVector
-
-    a = np.asarray(a_list, dtype=complex)
-    if np.max(np.abs(a.imag)) > 1e-12:
-        raise ParameterError("coefficients have nonvanishing imaginary parts")
-    alphas = tuple((a[k].real - k) / r for k in range(r))
-    return IndexVector(r, alphas)

@@ -209,7 +209,7 @@ def inner_product_plain(f, g, a: float, Tmax: float, n_nodes: int,
     return complex(np.sum(rule.weights * t ** a * _ray_sum(f, g, t, c)))
 
 
-def apply_D_star(mu: IndexVector, a: float, f, ray_twist: bool = True) -> RayMap:
+def apply_D_star(mu: IndexVector, a: float, f) -> RayMap:
     """Adjoint of the Dunkl operator for <.,.>_a:
 
         D* g = -( (x/conj(x)) g' + (1/conj(x)) sum_k (a - a_k) T_{k+1} g ),
@@ -217,8 +217,8 @@ def apply_D_star(mu: IndexVector, a: float, f, ray_twist: bool = True) -> RayMap
     with 1/conj(x) read on the ray omega^m t as omega^m / t and the twist
     x/conj(x) as omega^(2m).  The twist is what per-ray integration by parts
     actually produces; it is invisible for r = 2, where the rays are real.
-    Passing ray_twist=False drops it and reproduces the untwisted formula,
-    which fails adjointness for r >= 3 (kept for comparison reports).
+    (``integration_by_parts_check`` measures the untwisted rule, which fails
+    for r >= 3.)
     """
     c = CyclicStructure(mu.r)
     r = mu.r
@@ -229,8 +229,7 @@ def apply_D_star(mu: IndexVector, a: float, f, ray_twist: bool = True) -> RayMap
 
     def fn(m, t):
         om = c.omega_pow(m)
-        twist = om ** 2 if ray_twist else 1.0
-        acc = twist * fprime.on_ray(m, t).astype(complex)
+        acc = om ** 2 * fprime.on_ray(m, t).astype(complex)
         w = om / t
         for k in range(r):
             coef = a - mu.a[k]
@@ -324,7 +323,9 @@ def multiplication_adjoint_residuals(f: RayTestFunction, g: RayTestFunction,
     return r1, r2
 
 
-def _random_test_function(c: CyclicStructure, rng, max_degree: int = 6) -> RayTestFunction:
-    deg = int(rng.integers(2, max_degree + 1))
+def _random_test_function(c: CyclicStructure, rng) -> RayTestFunction:
+    """p(x) exp(-x^r) with p of random degree 2..6 and standard complex
+    normal coefficients."""
+    deg = int(rng.integers(2, 7))
     coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     return ray_poly(c, coeffs)

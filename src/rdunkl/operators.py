@@ -7,8 +7,8 @@ On a monomial x^n every operator here is a weighted shift:
     Dunkl   D_mu:      x^n -> (n + a_{(-n) mod r}) x^(n-1)
 
 The Dunkl operator equals f' + (1/x) sum_k a_k T_k f; the closed weighted
-shift above is used for application and the compositional form is kept as a
-test oracle.  Restricted to grade k, r applications of D equal the lowering
+shift above is used for application and the compositional form is the
+tests' oracle.  Restricted to grade k, r applications of D equal the lowering
 chain started at a_k; on grade 0 that chain is exactly Delta_mu.
 """
 
@@ -20,13 +20,9 @@ import numpy as np
 
 from ._errors import DomainError, ParameterError
 from .series import (
-    CyclicStructure,
     LaurentSeries,
-    differentiate,
     guarded_evaluate,
-    lincomb,
     mul_x_power,
-    project_T,
     scale_argument,
 )
 from .special import IndexVector, bessel_j_series, index_shift
@@ -73,19 +69,6 @@ def apply_D(mu: IndexVector, f: LaurentSeries) -> LaurentSeries:
     weights = degs + a[(-degs) % r]
     grade = None if f.grade is None else (f.grade + 1) % r
     return LaurentSeries(f.n_min - 1, f.coeffs * weights, f.valid_order - 1, grade, f.r)
-
-
-def apply_D_compositional(mu: IndexVector, f: LaurentSeries, c: CyclicStructure | None = None) -> LaurentSeries:
-    """Oracle form f' + (1/x) sum_k a_k T_k f, assembled from the primitive
-    series operations."""
-    c = c or mu.cyclic
-    terms = [(1.0, differentiate(f))]
-    for k in range(mu.r):
-        if mu.a[k] != 0.0:
-            terms.append((mu.a[k], mul_x_power(project_T(f, k, c), -1)))
-    out = lincomb(terms)
-    # lincomb keeps the min valid_order; differentiate already dropped it by 1
-    return out
 
 
 def dunkl_kernel_series(mu: IndexVector, lam: complex, N: int) -> LaurentSeries:

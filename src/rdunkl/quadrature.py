@@ -93,21 +93,3 @@ def _legendre_reference(n: int):
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def jacobi_moment(p: float, q: float, m: int) -> float:
-    """integral_0^1 v^m (1-v)^p v^q dv, the Beta function B(q+m+1, p+1)."""
-    from .special import gamma_ratio
-
-    return gamma_ratio([q + m + 1.0, p + 1.0], [p + q + m + 2.0])
-
-
-def rule_exactness_residual(rule: QuadratureRule, p: float, q: float) -> float:
-    """Worst relative error of the rule on monomials up to degree 2n-1."""
-    n = len(rule.nodes)
-    worst = 0.0
-    for m in range(2 * n):
-        got = float(np.sum(rule.weights * rule.nodes ** m))
-        want = jacobi_moment(p, q, m)
-        worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
-    return worst

@@ -111,14 +111,14 @@ def apply_R_inverse_derivative_form(
     x: float,
     r: int,
     n_nodes: int = 48,
-    fd_step: float | None = None,
 ) -> float:
     """Inversion of R_{k+alpha} through the (k+1)-fold derivative of a
     weighted integral; numerically delicate by design, it validates the
     analytic inversion formula rather than serving as the production inverse.
 
     The k+1 nested first derivatives of (1/(r x^(r-1))) d/dx are taken by
-    central differences with one level of Richardson extrapolation.
+    central differences of step 1e-3 x with one level of Richardson
+    extrapolation.
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError("derivative-form inverse needs 0 < alpha < 1")
@@ -126,7 +126,7 @@ def apply_R_inverse_derivative_form(
         raise ParameterError("k must be a nonnegative integer")
     if x <= 0:
         raise ParameterError("evaluation point must be positive")
-    h0 = (1e-3 * x) if fd_step is None else float(fd_step)
+    h0 = 1e-3 * x
 
     def F(xx):
         return _inner_integral(k, alpha, g, xx, r, n_nodes)
@@ -231,15 +231,15 @@ def product_factorization_check(mu: IndexVector, N: int, case: str = "") -> Veri
     )
 
 
-def composition_law_check(k: int, alpha: float, r: int, max_degree: int = 24) -> VerificationReport:
+def composition_law_check(k: int, alpha: float, r: int) -> VerificationReport:
     """x^(-kr) R_alpha (d/dx) x^(1+rk) R_{k+1} against R_{k+alpha} on
-    monomials.  The two sides agree up to the constant
+    the monomials of degree 0..24.  The two sides agree up to the constant
     Gamma(k+1)Gamma(alpha)/Gamma(k+alpha) (equal to 1 at k = 0), which is
     included here; the raw law as printed holds only for k = 0.
     """
     factor = gamma_ratio([k + 1.0, alpha], [k + alpha])
     worst = 0.0
-    for n in range(0, max_degree + 1):
+    for n in range(0, 25):
         lhs = (
             l_coefficient(n, k + 1.0, r)
             * (n + 1.0 + r * k)

@@ -13,6 +13,14 @@ is bar-free: integration by parts on the rays gives the clean rule
 -(d/dx + (1/x) sum_k (a - a_k) T_{k+1}) and the spectral identity
 F(D g) = -theta lam F(g) holds exactly whenever that transpose equals -D
 (for instance r = 2 with a = 2 alpha + 1).
+
+The r-Dunkl transform of the family p(x) exp(-s x^r) has one production
+path, the exact moment series ``moment_transform``: the CLI and the
+transform checks (eigen property, grade transport, the left side of the
+factorization) read it.  The ray quadrature ``dunkl_transform_F`` stays as
+its independent oracle.  ``laplace_theta_inverse`` is the one contour
+inverter; the r = 2 inverse transform calls it on its whole collocation
+grid.
 """
 
 from __future__ import annotations
@@ -33,14 +41,13 @@ from .riemann_liouville import apply_R_adjoint
 from .transmutation import build_V_star
 
 
-def laplace_theta(g, lam: complex, Tmax: float = 60.0, n_nodes: int = 400,
-                  c: CyclicStructure | None = None, r: int = 2) -> complex:
+def laplace_theta(g, lam: complex, Tmax: float = 60.0, n_nodes: int = 400, *,
+                  c: CyclicStructure) -> complex:
     """integral_0^inf exp(theta t lam) g(t) dt, truncated at Tmax.
 
     Emits TailWarning when the endpoint magnitude suggests the truncated
     tail may exceed 1e-13 of the result.
     """
-    c = c or CyclicStructure(r)
     rule = gauss_legendre_rule(n_nodes, 0.0, Tmax)
     kern = np.exp(c.theta * lam * rule.nodes)
     gv = np.asarray(g(rule.nodes), dtype=complex)
@@ -64,9 +71,8 @@ def _taper(y: np.ndarray, T: float) -> np.ndarray:
     return w
 
 
-def laplace_theta_inverse(G, x: float, cshift: float = 1.0, T: float = 200.0,
-                          n_nodes: int = 4000, c: CyclicStructure | None = None,
-                          r: int = 2) -> complex:
+def laplace_theta_inverse(G, x, cshift: float = 1.0, T: float = 200.0,
+                          n_nodes: int = 4000, *, c: CyclicStructure):
     """Contour inversion along s = (-cshift + i y) conj(theta), y in [-T, T]:
 
         (1/(2 pi i conj(theta))) integral exp(-theta x s) G(s) ds
@@ -74,15 +80,21 @@ def laplace_theta_inverse(G, x: float, cshift: float = 1.0, T: float = 200.0,
 
     discretized by the trapezoid rule with a tanh-sinh taper on the outer
     tenth of the window.
+
+    x may be a number (the result is complex) or an array of points; G is
+    called once on the contour nodes, and each point's sum takes the same
+    operations in the same order as a scalar call, so the two agree bit for
+    bit.
     """
-    c = c or CyclicStructure(r)
     y = np.linspace(-T, T, n_nodes)
     dy = y[1] - y[0]
     s = (-cshift + 1j * y) * np.conj(c.theta)
     vals = np.asarray(G(s), dtype=complex)
-    integrand = np.exp(-1j * x * y) * vals * _taper(y, T)
-    total = np.sum(integrand) * dy
-    return complex(np.exp(cshift * x) * total / (2.0 * np.pi))
+    xs = np.asarray(x, dtype=float)
+    integrand = np.exp(-1j * xs[..., None] * y) * vals * _taper(y, T)
+    total = np.sum(integrand, axis=-1) * dy
+    out = np.exp(cshift * xs) * total / (2.0 * np.pi)
+    return complex(out) if np.ndim(x) == 0 else out
 
 
 def _auto_Tmax(r: int, decay_scale: float, growth: float) -> float:
@@ -112,14 +124,11 @@ def _ray_transform(g, kernel_at, a: float, r: int, Tmax: float, n_nodes: int,
 
 
 def f_r_transform(g, lam: complex, a: float = 0.0, n_nodes: int = 240,
-                  Tmax: float | None = None, c: CyclicStructure | None = None,
-                  r: int | None = None) -> complex:
-    """Base transform: g paired with exp(theta lam x) over the rays."""
-    if c is None:
-        c = CyclicStructure(r if r is not None else g.c.r)
-    decay = getattr(g, "decay_scale", 1.0)
-    if Tmax is None:
-        Tmax = _auto_Tmax(c.r, decay, abs(lam))
+                  c: CyclicStructure | None = None) -> complex:
+    """Base transform: g paired with exp(theta lam x) over the rays.  A ray
+    map without a cyclic structure of its own passes c."""
+    c = c or g.c
+    Tmax = _auto_Tmax(c.r, getattr(g, "decay_scale", 1.0), abs(lam))
 
     def kern(m, t):
         return np.exp(c.theta * lam * c.omega_pow(m) * t)
@@ -128,21 +137,21 @@ def f_r_transform(g, lam: complex, a: float = 0.0, n_nodes: int = 240,
 
 
 def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
-                      n_nodes: int = 240, Tmax: float | None = None,
-                      series_N: int | None = None) -> complex:
-    """r-Dunkl transform of g at lam, pairing against E_mu(omega^m lam t).
+                      n_nodes: int = 240) -> complex:
+    """r-Dunkl transform of g at lam by ray quadrature, pairing against
+    E_mu(omega^m lam t).
 
+    This is the independent oracle of ``moment_transform`` (the tests and
+    the benchmark's checks compare the two); no production path calls it.
     The kernel is evaluated through its series; a SeriesOverflowError from
     the evaluation signals that |lam| Tmax exceeded the reliable range.
     """
     if abs(mu.alphas[0]) > 1e-12:
         raise ParameterError("the transform kernel needs alpha_0 = 0")
     c = mu.cyclic
-    if Tmax is None:
-        Tmax = _kernel_Tmax(c, getattr(g, "decay_scale", 1.0), abs(lam))
+    Tmax = _kernel_Tmax(c, getattr(g, "decay_scale", 1.0), abs(lam))
     zmax = abs(lam) * Tmax
-    N = series_N if series_N is not None else kernel_series_degree(c.r, zmax)
-    ker = dunkl_kernel_series(mu, 1.0, N)
+    ker = dunkl_kernel_series(mu, 1.0, kernel_series_degree(c.r, zmax))
     if zmax > 1.0 and kernel_log_peak(ker, zmax) > np.log(1e12):
         raise SeriesOverflowError(
             f"kernel series evaluation at |z| <= {zmax:.3g} would lose more than "
@@ -211,9 +220,10 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
     return vals, 100.0 * np.finfo(float).eps * mags
 
 
-def factorization_residual(mu: IndexVector, a: float, g, lam: complex,
-                           n_nodes: int = 200, v_nodes: int = 48) -> VerificationReport:
-    """F_mu g(lam) against F_r(|x|^a V^T g)(lam).
+def factorization_residual(mu: IndexVector, a: float, g: RayTestFunction,
+                           lam: complex) -> VerificationReport:
+    """F_mu g(lam), by the exact moment series, against F_r(|x|^a V^T g)(lam),
+    by ray quadrature of the transposed transmutation.
 
     Exact whenever V exp(theta lam x) reproduces the kernel at lam, hence
     asserted for the classical r = 2 family and measured otherwise (the
@@ -221,15 +231,13 @@ def factorization_residual(mu: IndexVector, a: float, g, lam: complex,
     """
     from .transmutation import _kernel_map_exact
 
-    c = mu.cyclic
-    lhs = dunkl_transform_F(mu, a, g, lam, n_nodes=n_nodes)
-    vstar = build_V_star(mu, a, n_nodes=v_nodes, conjugate=False)
-    vtg = vstar(g)
+    lhs = complex(moment_transform(mu, a, g, [lam])[0][0])
+    vtg = build_V_star(mu, a, n_nodes=48, conjugate=False)(g)
 
     def weighted(m, t):
         return t ** a * vtg.on_ray(m, t)
 
-    rhs = f_r_transform(RayMap(weighted), lam, a=0.0, n_nodes=n_nodes, c=c)
+    rhs = f_r_transform(RayMap(weighted), lam, a=0.0, n_nodes=200, c=mu.cyclic)
     scale = max(abs(lhs), abs(rhs), 1.0)
     exact = _kernel_map_exact(mu)
     return make_report(
@@ -242,39 +250,37 @@ def factorization_residual(mu: IndexVector, a: float, g, lam: complex,
     )
 
 
-def eigen_property_check(mu: IndexVector, a: float, g, lam: complex,
-                         n_nodes: int = 240) -> VerificationReport:
-    """Residual of F(D g)(lam) + theta lam F(g)(lam), normalized.
+def eigen_property_check(mu: IndexVector, a: float, g: RayTestFunction,
+                         lam: complex) -> VerificationReport:
+    """Residual of F(D g)(lam) + theta lam F(g)(lam), normalized, with both
+    transforms from the exact moment series.
 
     Exact when the bilinear transpose of D is -D (r = 2 with a = 2 alpha + 1);
     otherwise the residual simply measures how far that adjoint identity
     fails for the chosen a.
     """
-    c = mu.cyclic
-    dg = ray_dunkl(mu, g)
-    lhs = dunkl_transform_F(mu, a, dg, lam, n_nodes=n_nodes)
-    rhs = dunkl_transform_F(mu, a, g, lam, n_nodes=n_nodes)
+    lhs = complex(moment_transform(mu, a, ray_dunkl(mu, g), [lam])[0][0])
+    rhs = complex(moment_transform(mu, a, g, [lam])[0][0])
     scale = max(abs(lhs), abs(rhs), 1.0)
     exact = mu.r == 2 and abs(a - mu.a[1]) < 1e-12 and abs(mu.a[0]) < 1e-12
     return make_report(
         check_id="transform.eigen_property",
         params={"r": mu.r, "alphas": list(mu.alphas), "a": a, "lam": complex(lam)},
-        residual=abs(lhs + c.theta * lam * rhs) / scale,
+        residual=abs(lhs + mu.cyclic.theta * lam * rhs) / scale,
         tolerance=1e-6,
         kind="residual-below" if exact else KIND_MEASURED,
     )
 
 
-def grade_transport_check(g, k: int, mu: IndexVector, a: float,
-                          n_lambda: int = 16, radius: float = 1.5,
-                          n_nodes: int = 200) -> VerificationReport:
-    """Transform samples on a lambda circle, DFT-fit as a polynomial of
-    degree n_lambda - 1, then measure the energy off the residue class of
-    grade r - k (degrees d = k mod r)."""
-    c = mu.cyclic
-    r = c.r
-    lams = radius * np.exp(2j * np.pi * np.arange(n_lambda) / n_lambda)
-    samples = np.array([dunkl_transform_F(mu, a, g, lam, n_nodes=n_nodes) for lam in lams])
+def grade_transport_check(g: RayTestFunction, k: int, mu: IndexVector,
+                          a: float) -> VerificationReport:
+    """Moment-series transform samples on the 16-point lambda circle of
+    radius 1.5, DFT-fit as a polynomial of degree 15, then measure the
+    energy off the residue class of grade r - k (degrees d = k mod r)."""
+    r = mu.r
+    n_lambda = 16
+    lams = 1.5 * np.exp(2j * np.pi * np.arange(n_lambda) / n_lambda)
+    samples, _ = moment_transform(mu, a, g, lams)
     coeffs = np.fft.fft(samples) / n_lambda  # c_d * radius^d
     energy = np.abs(coeffs)
     total = float(np.max(energy)) or 1.0
@@ -288,9 +294,7 @@ def grade_transport_check(g, k: int, mu: IndexVector, a: float,
 
 
 def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
-                            grade_k: int, cshift: float = 1.0, T: float = 40.0,
-                            grid_points: int = 72, grid_max: float | None = None,
-                            rl_nodes: int = 48) -> complex:
+                            grade_k: int, cshift: float = 1.0, T: float = 40.0) -> complex:
     """Inverse transform on the r = 2 path: contour-invert the Laplace-type
     transform, divide the |x|^a weight, and undo the transposed transmutation
     by collocation.
@@ -298,12 +302,14 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
     For g of grade k (parity (-1)^k for r = 2) the half-line Fourier split of
     the bilinear transform gives u(t) = t^a (V^T g)(t) = L_theta^{-1}[Ghat](t)
     on t > 0; the remaining Volterra-type equation along the ray is solved on
-    a Chebyshev grid by polynomial collocation.
+    a 72-point Chebyshev grid on (0, grid_max] by polynomial collocation,
+    with 48-node quadrature for R*.
 
-    The contour integral is a trapezoid sum on [-T, T] whose step dy puts
-    the Poisson-summation aliases of the preimage at multiples of 2 pi/dy
-    >= 4 grid_max, so none reaches the collocation grid (0, grid_max]:
-    n = ceil(4 T grid_max / pi) + 1 nodes, 489 at the defaults.
+    The contour integral (``laplace_theta_inverse`` at every grid point) is
+    a trapezoid sum on [-T, T] whose step dy puts the Poisson-summation
+    aliases of the preimage at multiples of 2 pi/dy >= 4 grid_max, so none
+    reaches the collocation grid: n = ceil(4 T grid_max / pi) + 1 nodes, 489
+    at the default T.
     """
     if mu.r != 2:
         raise ParameterError("the inversion round trip is implemented for r = 2 only")
@@ -311,22 +317,15 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
         raise ParameterError("inversion needs alpha_0 = 0")
     alpha = mu.alphas[1]
     beta = alpha + 0.5
-    c = mu.cyclic
-    if grid_max is None:
-        grid_max = _auto_Tmax(2, 1.0, 0.0)
+    grid_points = 72
+    grid_max = _auto_Tmax(2, 1.0, 0.0)
     # Chebyshev grid on (0, grid_max]
     j = np.arange(grid_points)
     grid = grid_max * 0.5 * (1.0 - np.cos(np.pi * (j + 0.5) / grid_points))
     grid = np.sort(np.clip(grid, 1e-3, None))
 
-    # contour values are shared by every grid point, so invert in one pass;
-    # the reduction uses np.sum per point to keep the output bit-stable
-    y = np.linspace(-T, T, int(np.ceil(4.0 * T * grid_max / np.pi)) + 1)
-    dy = y[1] - y[0]
-    s = (-cshift + 1j * y) * np.conj(c.theta)
-    Gv = np.asarray(Ghat(s), dtype=complex) * _taper(y, T) * dy / (2.0 * np.pi)
-    u_vals = np.array([np.sum(np.exp(-1j * t * y) * Gv) for t in grid])
-    u_vals *= np.exp(cshift * grid)
+    n_contour = int(np.ceil(4.0 * T * grid_max / np.pi)) + 1
+    u_vals = laplace_theta_inverse(Ghat, grid, cshift, T, n_contour, c=mu.cyclic)
     w_vals = u_vals / grid ** a  # (V^T g)(t) on the positive ray
 
     # (V^T g)(t) = c_norm * R*[g](t)          for even g (grade 0),
@@ -340,7 +339,7 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
     else:
         target = w_vals / c_norm
 
-    h = _solve_ray_volterra(target, grid, beta, a, 2, grid_max, rl_nodes)
+    h = _solve_ray_volterra(target, grid, beta, a, 2, grid_max, 48)
     val = _cheb_interp(grid, h, np.array([x]))[0]
     if grade_k % 2 == 1:
         val = val * x

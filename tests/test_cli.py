@@ -14,6 +14,18 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def run_main(capsys, *args):
+    """``run_cli`` in-process: ``cli.main`` with stdout and stderr captured,
+    for the cases whose subject is not the process boundary (exit codes,
+    empty stdout on refusal, stderr warnings and cross-process determinism
+    keep ``run_cli``)."""
+    from rdunkl.cli import main
+
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
 def test_report_json_round_trip():
     rep = make_report("demo.check", {"r": 3, "lam": 0.5 + 0.25j}, 1e-14, 1e-12,
                       notes=["note"])
@@ -30,8 +42,8 @@ def test_report_pass_rule():
         make_report("x", {}, 0.0, 0.0, kind="nonsense")
 
 
-def test_eval_j_cosine_value():
-    out = run_cli("eval", "j", "--r", "2", "--alpha", "0,-0.5", "--x-grid", "1:1:1")
+def test_eval_j_cosine_value(capsys):
+    out = run_main(capsys, "eval", "j", "--r", "2", "--alpha", "0,-0.5", "--x-grid", "1:1:1")
     assert out.returncode == 0
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "x,re,im"
@@ -40,21 +52,21 @@ def test_eval_j_cosine_value():
     assert im == "0"
 
 
-def test_eval_cosr_at_zero():
-    out = run_cli("eval", "cosr", "--r", "3", "--x-grid", "0:0:1")
+def test_eval_cosr_at_zero(capsys):
+    out = run_main(capsys, "eval", "cosr", "--r", "3", "--x-grid", "0:0:1")
     assert out.returncode == 0
     assert out.stdout.strip().splitlines()[1] == "0,1,0"
 
 
-def test_eval_cosr_is_real_on_the_real_grid():
-    out = run_cli("eval", "cosr", "--r", "5", "--x-grid=-3:4:8")
+def test_eval_cosr_is_real_on_the_real_grid(capsys):
+    out = run_main(capsys, "eval", "cosr", "--r", "5", "--x-grid=-3:4:8")
     assert out.returncode == 0
     rows = [line.split(",") for line in out.stdout.strip().splitlines()[1:]]
     assert len(rows) == 8 and all(im == "0" for _, _, im in rows)
 
 
-def test_eval_kernel_degenerate_is_complex_exponential():
-    out = run_cli("eval", "E", "--r", "2", "--x-grid", "1:1:1")
+def test_eval_kernel_degenerate_is_complex_exponential(capsys):
+    out = run_main(capsys, "eval", "E", "--r", "2", "--x-grid", "1:1:1")
     line = out.stdout.strip().splitlines()[1]
     _, re, im = line.split(",")
     assert abs(float(re) - math.cos(1.0)) < 1e-13
@@ -68,23 +80,23 @@ def test_eval_bad_parameters_exit_2():
     assert "error" in out.stderr
 
 
-def test_convert_directions():
-    out = run_cli("convert", "--r", "2", "--direction", "a-to-kappa", "--values", "0,3")
+def test_convert_directions(capsys):
+    out = run_main(capsys, "convert", "--r", "2", "--direction", "a-to-kappa", "--values", "0,3")
     data = json.loads(out.stdout)
     assert data["solvable"] is True
     assert abs(data["kappa"][0][0] - 1.5) < 1e-12
-    out = run_cli("convert", "--r", "2", "--direction", "a-to-kappa", "--values", "1,0")
+    out = run_main(capsys, "convert", "--r", "2", "--direction", "a-to-kappa", "--values", "1,0")
     data = json.loads(out.stdout)
     assert data["solvable"] is False and abs(data["residual"] - 0.5) < 1e-12
     assert out.returncode == 0  # no-solution is a value, not an error
-    out = run_cli("convert", "--r", "2", "--direction", "kappa-to-a", "--values", "1.2")
+    out = run_main(capsys, "convert", "--r", "2", "--direction", "kappa-to-a", "--values", "1.2")
     data = json.loads(out.stdout)
     assert data["solvable"] is True
     assert abs(data["a"][1][0] - 2.4) < 1e-12
 
 
-def test_verify_single_suite_json_and_exit():
-    out = run_cli("verify", "eigen", "--r", "3", "--seed", "7")
+def test_verify_single_suite_json_and_exit(capsys):
+    out = run_main(capsys, "verify", "eigen", "--r", "3", "--seed", "7")
     assert out.returncode == 0
     reports = json.loads(out.stdout)
     assert all(rep["pass"] for rep in reports)
@@ -92,8 +104,8 @@ def test_verify_single_suite_json_and_exit():
     assert ids == sorted(ids)
 
 
-def test_verify_transmutation_r3_negative_control_labeled():
-    out = run_cli("verify", "transmutation", "--r", "3", "--seed", "3")
+def test_verify_transmutation_r3_negative_control_labeled(capsys):
+    out = run_main(capsys, "verify", "transmutation", "--r", "3", "--seed", "3")
     assert out.returncode == 0
     reports = json.loads(out.stdout)
     control = [rep for rep in reports
@@ -109,9 +121,9 @@ def test_verify_determinism_byte_identical():
     assert a == b
 
 
-def test_transform_subcommand_csv():
-    out = run_cli("transform", "--r", "2", "--mu", "0,0.5", "--a", "2",
-                  "--lambda-grid", "0:1:2", "--input", "poly:0,1")
+def test_transform_subcommand_csv(capsys):
+    out = run_main(capsys, "transform", "--r", "2", "--mu", "0,0.5", "--a", "2",
+                   "--lambda-grid", "0:1:2", "--input", "poly:0,1")
     assert out.returncode == 0
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "x,re,im"
@@ -124,8 +136,8 @@ def test_verify_invalid_order_exit_2():
     assert "error" in out.stderr
 
 
-def test_verify_json_reports_carry_pass_key():
-    out = run_cli("verify", "dunkl-opdam", "--r", "2", "--seed", "4")
+def test_verify_json_reports_carry_pass_key(capsys):
+    out = run_main(capsys, "verify", "dunkl-opdam", "--r", "2", "--seed", "4")
     reports = json.loads(out.stdout)
     assert reports and all("pass" in rep and "passed" not in rep for rep in reports)
 
@@ -176,9 +188,9 @@ def test_commands_resolve_at_call_time(monkeypatch):
     (("transform", "--r", "2", "--mu", "0,0.5", "--a", "2", "--input", "poly:0,1"),
      "--lambda-grid", "-3:3:41"),
 ])
-def test_negative_grid_value_after_its_flag(args, flag, grid):
-    spaced = run_cli(*args, flag, grid)
-    joined = run_cli(*args, f"{flag}={grid}")
+def test_negative_grid_value_after_its_flag(args, flag, grid, capsys):
+    spaced = run_main(capsys, *args, flag, grid)
+    joined = run_main(capsys, *args, f"{flag}={grid}")
     assert spaced.returncode == joined.returncode == 0
     assert spaced.stdout == joined.stdout and spaced.stdout.startswith("x,re,im\n")
 
@@ -199,7 +211,7 @@ def test_transform_refuses_before_printing():
     assert "lambda=9" in out.stderr and "rounding estimate" in out.stderr
 
 
-def test_transform_ignores_nodes_and_matches_quadrature():
+def test_transform_ignores_nodes_and_matches_quadrature(capsys):
     from rdunkl.hilbert import ray_poly
     from rdunkl.series import CyclicStructure
     from rdunkl.special import IndexVector
@@ -207,8 +219,8 @@ def test_transform_ignores_nodes_and_matches_quadrature():
 
     args = ("transform", "--r", "3", "--mu", "0,0.5666666666666667,-0.6666666666666666",
             "--a", "2.7", "--lambda-grid=-3:3:7")
-    out = run_cli(*args)
-    assert out.returncode == 0 and run_cli(*args, "--nodes", "5").stdout == out.stdout
+    out = run_main(capsys, *args)
+    assert out.returncode == 0 and run_main(capsys, *args, "--nodes", "5").stdout == out.stdout
     rows = [[float(v) for v in line.split(",")] for line in out.stdout.splitlines()[1:]]
     mu = IndexVector(3, (0.0, 0.5666666666666667, -0.6666666666666666))
     g = ray_poly(CyclicStructure(3), [1.0], decay_scale=0.5)

@@ -11,9 +11,19 @@ from rdunkl.dunkl_opdam import (
     a_to_kappa,
     apply_T_kappa,
     kappa_to_a,
-    to_index_vector,
 )
 from rdunkl.series import CyclicStructure, LaurentSeries
+from rdunkl.special import IndexVector
+
+
+def to_index_vector(a_list, r: int):
+    """Build the index vector from real coefficients a_k = r alpha_k + k,
+    rejecting nonvanishing imaginary parts."""
+    a = np.asarray(a_list, dtype=complex)
+    if np.max(np.abs(a.imag)) > 1e-12:
+        raise ParameterError("coefficients have nonvanishing imaginary parts")
+    alphas = tuple((a[k].real - k) / r for k in range(r))
+    return IndexVector(r, alphas)
 
 
 def test_zero_kappa_is_plain_derivative():

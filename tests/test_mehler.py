@@ -8,13 +8,24 @@ import rdunkl as rd
 from rdunkl import mehler
 from rdunkl._errors import ParameterError
 from rdunkl.mehler import MehlerWeight, beta_lemma_check, mehler_E, mehler_j
-from rdunkl.quadrature import (
-    gauss_jacobi_rule,
-    gauss_legendre_rule,
-    jacobi_moment,
-    rule_exactness_residual,
-)
+from rdunkl.quadrature import QuadratureRule, gauss_jacobi_rule, gauss_legendre_rule
 from rdunkl.special import cos_r_value, gamma_ratio
+
+
+def jacobi_moment(p: float, q: float, m: int) -> float:
+    """integral_0^1 v^m (1-v)^p v^q dv, the Beta function B(q+m+1, p+1)."""
+    return gamma_ratio([q + m + 1.0, p + 1.0], [p + q + m + 2.0])
+
+
+def rule_exactness_residual(rule: QuadratureRule, p: float, q: float) -> float:
+    """Worst relative error of the rule on monomials up to degree 2n-1."""
+    n = len(rule.nodes)
+    worst = 0.0
+    for m in range(2 * n):
+        got = float(np.sum(rule.weights * rule.nodes ** m))
+        want = jacobi_moment(p, q, m)
+        worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+    return worst
 
 
 def test_gauss_legendre_cubic_exact():

@@ -5,13 +5,36 @@ import pytest
 import rdunkl as rd
 from rdunkl._errors import DomainError, SeriesOverflowError
 from rdunkl.operators import (
-    apply_D_compositional,
     apply_L_chain,
     chain_expansion_closed_form,
     power_identity_residual,
     v_terms,
 )
-from rdunkl.series import kernel_log_peak, kernel_series_degree, monomial
+from rdunkl.series import (
+    CyclicStructure,
+    LaurentSeries,
+    differentiate,
+    kernel_log_peak,
+    kernel_series_degree,
+    lincomb,
+    monomial,
+    mul_x_power,
+    project_T,
+)
+from rdunkl.special import IndexVector
+
+
+def apply_D_compositional(mu: IndexVector, f: LaurentSeries, c: CyclicStructure | None = None) -> LaurentSeries:
+    """Oracle form f' + (1/x) sum_k a_k T_k f, assembled from the primitive
+    series operations."""
+    c = c or mu.cyclic
+    terms = [(1.0, differentiate(f))]
+    for k in range(mu.r):
+        if mu.a[k] != 0.0:
+            terms.append((mu.a[k], mul_x_power(project_T(f, k, c), -1)))
+    out = lincomb(terms)
+    # lincomb keeps the min valid_order; differentiate already dropped it by 1
+    return out
 
 
 def test_lowering_operator_on_monomials():

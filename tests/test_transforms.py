@@ -317,6 +317,34 @@ def test_inverse_contour_has_no_node_count_knob():
     assert "n_contour" not in inspect.signature(dunkl_transform_inverse).parameters
 
 
+def test_laplace_inverse_on_an_array_equals_the_scalar_calls():
+    # one contour pass for a whole grid, bit for bit the per-point results
+    xs = np.concatenate([_cheb_grid(), [0.0, 1.0, 2.5]])
+    for r, T, n in ((2, 40.0, 489), (4, 200.0, 4000)):
+        c = CyclicStructure(r)
+        G = lambda s, c=c: 1.0 / (1.0 - c.theta * s) + 0.3j / (2.0 - s)
+        got = laplace_theta_inverse(G, xs, 1.0, T, n, c=c)
+        want = np.array([laplace_theta_inverse(G, float(x), 1.0, T, n, c=c) for x in xs])
+        assert got.shape == xs.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_suite_transform_runs_without_the_quadrature_transform(r, monkeypatch):
+    # the checks read the exact moment series; the ray quadrature is only
+    # the tests' oracle
+    import rdunkl.transforms as tf
+    from rdunkl.verify import suite_transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dunkl_transform_F called in production")
+
+    monkeypatch.setattr(tf, "dunkl_transform_F", refuse)
+    reports = suite_transform(r, 0, 48, 60)
+    ids = {rep.check_id for rep in reports}
+    assert {"transform.eigen_property", "transform.factorization"} <= ids
+    assert all(rep.passed for rep in reports)
+
+
 def test_suite_transform_r2_memory_peak():
     from rdunkl.verify import suite_transform
 

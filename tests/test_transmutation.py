@@ -3,11 +3,23 @@ import pytest
 
 import rdunkl as rd
 from rdunkl._errors import ParameterError
-from rdunkl.hilbert import WeightedInnerProduct, RayMap, inner_product, inner_product_plain, ray_poly
+from rdunkl.hilbert import (
+    WeightedInnerProduct,
+    RayMap,
+    inner_product,
+    inner_product_plain,
+    ray_lincomb,
+    ray_poly,
+    ray_power,
+    ray_projection,
+)
+from rdunkl.mehler import MehlerWeight
+from rdunkl.operators import v_terms
+from rdunkl.riemann_liouville import apply_R_quadrature, l_coefficient
 from rdunkl.series import CyclicStructure, LaurentSeries, exp_series, monomial
+from rdunkl.special import IndexVector
 from rdunkl.transmutation import (
     build_V,
-    build_V_ray,
     build_V_star,
     closed_form_match_check,
     closed_form_V_r2,
@@ -19,10 +31,43 @@ from rdunkl.transmutation import (
     v_maps_exp_to_kernel_check,
     _ray_r_star,
 )
-from rdunkl.riemann_liouville import l_coefficient
 
 
 EX9 = rd.IndexVector(3, (0.0, 0.9 - 1 / 3, -2 / 3))
+
+
+def build_V_ray(mu: IndexVector, n_nodes: int = 48):
+    """The transmutation operator as a ray evaluator, realized through its
+    integral form (fractional means by quadrature along each ray).  Used to
+    pair V against its adjoint on the decaying family."""
+    weight = MehlerWeight(mu)
+    r = mu.r
+    c = mu.cyclic
+    terms = v_terms(mu)
+
+    def r_mean(g, beta):
+        def fn(m, t):
+            return apply_R_quadrature(beta, lambda z: g.on_ray(m, z), np.atleast_1d(t), r,
+                                      n_nodes)
+
+        return RayMap(fn)
+
+    def chain(g):
+        out = g
+        for i in weight.included:
+            beta = mu.alphas[i] + i / r
+            p = r - i - 1
+            out = ray_power(r_mean(ray_power(out, p, c), beta), -p, c)
+        return out
+
+    def apply(g) -> RayMap:
+        out = [(1.0, ray_projection(chain(g), 0, c))]
+        for k, j, coef in terms:
+            inner = ray_power(chain(ray_power(g, k - j, c)), -k, c)
+            out.append((coef, ray_projection(inner, k, c)))
+        return ray_lincomb(out, weight.c_norm)
+
+    return apply
 
 
 def test_closed_form_match():

@@ -25,3 +25,30 @@ def test_renamed_check_ids():
             "transmutation.exp_to_kernel.real", "transmutation.exp_to_kernel.complex"} <= ids
     assert not ids & {"rl.composition_law", "rl.product_factorization",
                       "transmutation.exp_to_kernel"}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_tolerance_scale_reaches_every_residual_below_report(r):
+    # the scale applies to reports built inside the modules as well as to
+    # those built by the suites; other kinds keep their tolerance
+    base = run_suites(list(SUITES), r, seed=0)
+    scaled = run_suites(list(SUITES), r, seed=0, tol_scale=10.0)
+    assert [rep.check_id for rep in base] == [rep.check_id for rep in scaled]
+    n_scaled = 0
+    for b, s in zip(base, scaled):
+        assert (s.kind, s.residual, s.passed) == (b.kind, b.residual, b.passed), b.check_id
+        if b.kind == "residual-below":
+            assert s.tolerance == 10.0 * b.tolerance, b.check_id
+            n_scaled += 1
+        else:
+            assert s.tolerance == b.tolerance or b.tolerance != b.tolerance, b.check_id
+    assert n_scaled >= 40
+
+
+@pytest.mark.parametrize("suite,check_id", [("mehler", "mehler.node_doubling_trend"),
+                                            ("dunkl-opdam", "dunkl_opdam.obstruction_scalar")])
+def test_flag_reports_keep_tolerance_zero_at_any_scale(suite, check_id):
+    # 0/1 flags carry tolerance 0, so no scale can pass a raised flag (1 > 0)
+    rep = next(rep for rep in run_suites([suite], 2, seed=0, tol_scale=1e6)
+               if rep.check_id == check_id)
+    assert rep.tolerance == 0.0 and rep.residual == 0.0 and rep.passed
