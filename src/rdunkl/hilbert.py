@@ -12,6 +12,14 @@ multiplication by powers of x, and the Dunkl operator.
 Quadrature absorbs t^(a-1) into a Jacobi weight on [0, Tmax] so integrands
 with a single 1/t factor (from the 1/conj(x) terms of adjoints) still
 integrate at spectral accuracy.
+
+Every ray function answers for all r rays in one call: ``on_ray(m, t)``
+takes one ray index or a 1-d array of them and then returns one row per
+ray.  A family member evaluates its polynomial once on the (rays x t) grid,
+the compositions (``ray_power``, ``ray_projection``, ``ray_lincomb``, the
+adjoint map of ``apply_D_star``) produce all rays from one evaluation of
+their inputs, and the product sums over rays after reading each function
+once.  Each row equals the one-ray value bit for bit.
 """
 
 from __future__ import annotations
@@ -37,13 +45,38 @@ from .special import IndexVector
 
 
 class RayMap:
-    """A function known through its values on the rays omega^m t, t > 0."""
+    """A function known through its values on the rays omega^m t, t > 0.
+
+    ``on_ray(m, t)`` takes one ray index, giving values shaped like t, or a
+    1-d array of ray indices, giving one row of values per index.  ``fn(m, t)``
+    answers for one ray; an array of indices is answered ray by ray.
+    """
 
     def __init__(self, fn):
         self._fn = fn
 
-    def on_ray(self, m: int, t: np.ndarray) -> np.ndarray:
+    def on_ray(self, m, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if np.ndim(m) == 0:
+            return self._fn(m, t)
+        return np.stack([self._fn(int(k), t) for k in m])
+
+
+class _AllRayMap(RayMap):
+    """A RayMap whose ``fn`` takes an array of ray indices as well as one."""
+
+    def on_ray(self, m, t: np.ndarray) -> np.ndarray:
         return self._fn(m, np.asarray(t, dtype=float))
+
+
+def _per_ray(m, t: np.ndarray, value):
+    """value(k) for each ray index k of m, shaped to broadcast against t: a
+    number for one index, a column for an array of them.  Each entry is the
+    scalar a one-ray evaluation computes, so the rows agree bit for bit."""
+    if np.ndim(m) == 0:
+        return value(m)
+    col = np.array([value(int(k)) for k in m])
+    return col.reshape(col.shape + (1,) * np.ndim(t))
 
 
 def ray_power(g, p: int, c: CyclicStructure, conjugate: bool = False):
@@ -52,35 +85,39 @@ def ray_power(g, p: int, c: CyclicStructure, conjugate: bool = False):
     if p == 0:
         return g
 
-    def fn(m, t):
-        om = np.conj(c.omega_pow(m)) if conjugate else c.omega_pow(m)
-        return (om * t) ** p * g.on_ray(m, t)
+    def omega(k):
+        return np.conj(c.omega_pow(k)) if conjugate else c.omega_pow(k)
 
-    return RayMap(fn)
+    def fn(m, t):
+        return (_per_ray(m, t, omega) * t) ** p * g.on_ray(m, t)
+
+    return _AllRayMap(fn)
 
 
 def ray_projection(g, k: int, c: CyclicStructure) -> RayMap:
-    """T_k g as the r-point average of g over the rotated rays."""
+    """T_k g as the r-point average of g over the rotated rays; every row is
+    formed from one evaluation of g on all r rays."""
 
     def fn(m, t):
-        acc = np.zeros(np.shape(t), dtype=complex)
+        rows = g.on_ray(np.arange(c.r), t)
+        acc = np.zeros(np.shape(m) + np.shape(t), dtype=complex)
         for n in range(c.r):
-            acc = acc + c.omega_pow(n * k) * g.on_ray(m + n, t)
+            acc = acc + c.omega_pow(n * k) * rows[(np.asarray(m) + n) % c.r]
         return acc / c.r
 
-    return RayMap(fn)
+    return _AllRayMap(fn)
 
 
 def ray_lincomb(terms, scale: float = 1.0) -> RayMap:
     """scale * sum_i w_i g_i over the pairs (w_i, g_i) in terms."""
 
     def fn(m, t):
-        acc = np.zeros(np.shape(t), dtype=complex)
+        acc = np.zeros(np.shape(m) + np.shape(t), dtype=complex)
         for w, term in terms:
             acc = acc + w * term.on_ray(m, t)
         return scale * acc
 
-    return RayMap(fn)
+    return _AllRayMap(fn)
 
 
 @dataclass(frozen=True)
@@ -101,9 +138,11 @@ class RayTestFunction:
         p = self.poly
         object.__setattr__(self, "poly", LaurentSeries(p.n_min, p.coeffs, p.n_max))
 
-    def on_ray(self, m: int, t: np.ndarray) -> np.ndarray:
+    def on_ray(self, m, t: np.ndarray) -> np.ndarray:
+        """Values on one ray, or one row per ray of an array of indices, from
+        one evaluation of the polynomial and of the decay factor."""
         t = np.asarray(t, dtype=float)
-        z = self.c.omega_pow(m) * t
+        z = _per_ray(m, t, self.c.omega_pow) * t
         return evaluate(self.poly, z) * np.exp(-self.decay_scale * t ** self.c.r)
 
 
@@ -184,10 +223,12 @@ class WeightedInnerProduct:
 
 
 def _ray_sum(f, g, t: np.ndarray, c: CyclicStructure) -> np.ndarray:
-    """sum_m f(omega^m t) conj(g(omega^m t)) at the nodes t."""
+    """sum_m f(omega^m t) conj(g(omega^m t)) at the nodes t, from one
+    all-ray evaluation of each function, summed ray by ray."""
+    rays = np.arange(c.r)
     acc = np.zeros_like(t, dtype=complex)
-    for m in range(c.r):
-        acc += f.on_ray(m, t) * np.conj(g.on_ray(m, t))
+    for row in f.on_ray(rays, t) * np.conj(g.on_ray(rays, t)):
+        acc += row
     return acc
 
 
@@ -228,16 +269,15 @@ def apply_D_star(mu: IndexVector, a: float, f) -> RayMap:
     projections = [ray_project(f, (k + 1) % r) for k in range(r)]
 
     def fn(m, t):
-        om = c.omega_pow(m)
-        acc = om ** 2 * fprime.on_ray(m, t).astype(complex)
-        w = om / t
+        acc = _per_ray(m, t, lambda k: c.omega_pow(k) ** 2) * fprime.on_ray(m, t).astype(complex)
+        w = _per_ray(m, t, c.omega_pow) / t
         for k in range(r):
             coef = a - mu.a[k]
             if coef != 0.0:
                 acc = acc + coef * w * projections[k].on_ray(m, t)
         return -acc
 
-    return RayMap(fn)
+    return _AllRayMap(fn)
 
 
 def projector_symmetry_check(i: int, ip: WeightedInnerProduct, c: CyclicStructure,
@@ -276,11 +316,11 @@ def integration_by_parts_check(f: RayTestFunction, g: RayTestFunction,
     gprime = ray_ddx(g)
 
     def rhs_fn(m, t):
-        om = c.omega_pow(m)
-        twist = om ** 2 if ray_twist else 1.0
-        return twist * gprime.on_ray(m, t) + (ip.a * om / t) * g.on_ray(m, t)
+        twist = _per_ray(m, t, lambda k: c.omega_pow(k) ** 2) if ray_twist else 1.0
+        return (twist * gprime.on_ray(m, t)
+                + (_per_ray(m, t, lambda k: ip.a * c.omega_pow(k)) / t) * g.on_ray(m, t))
 
-    rhs = inner_product(f, RayMap(rhs_fn), ip, c)
+    rhs = inner_product(f, _AllRayMap(rhs_fn), ip, c)
     scale = max(abs(lhs), abs(rhs), 1.0)
     return make_report(
         check_id="hilbert.integration_by_parts",

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from ._errors import ConvergenceWarning, DomainError, ParameterError
+from ._errors import ConvergenceWarning, DomainError, ParameterError, SingularError
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .reports import VerificationReport, make_report
 from .series import LaurentSeries
@@ -73,11 +73,11 @@ def _Q(t: np.ndarray, r: int) -> np.ndarray:
     return Q
 
 
-def _row_sums(g, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _row_sums(g, points: np.ndarray, weights: np.ndarray, dtype=complex) -> np.ndarray:
     """sum_j w_ij g(points[i, j]) for each row i, with g called once on the
-    flattened points; weights holds w_ij, or one row w_j shared by every i.
-    Trailing axes of g's values are kept."""
-    vals = np.asarray(g(points.ravel()), dtype=complex)
+    flattened points and its values read as dtype; weights holds w_ij, or one
+    row w_j shared by every i.  Trailing axes of g's values are kept."""
+    vals = np.asarray(g(points.ravel()), dtype=dtype)
     vals = vals.reshape(points.shape + vals.shape[1:])
     w = weights.reshape(weights.shape + (1,) * (vals.ndim - 2))
     return np.sum(w * vals, axis=1)
@@ -90,18 +90,21 @@ def apply_R_inverse_series(order: float, f: LaurentSeries, r: int) -> LaurentSer
     _require_regular(f)
     degs = np.arange(f.n_min, f.n_max + 1)
     fac = np.array([l_coefficient(int(n), order, r) for n in degs])
-    assert np.all(fac != 0.0)
+    if np.any(fac == 0.0):
+        n = int(degs[np.argmax(fac == 0.0)])
+        raise SingularError(f"R_{order} is not invertible on degree {n}: its factor l_{n} vanishes")
     return LaurentSeries(f.n_min, f.coeffs / fac, f.valid_order, f.grade, f.r)
 
 
-def _inner_integral(k: int, alpha: float, g, x: float, r: int, n_nodes: int) -> float:
-    # integral_0^x g(u)(x^r-u^r)^(-alpha) u^((k+alpha)r) du; with u = x s both
-    # endpoint factors (1-s)^(-alpha) and s^((k+alpha)r) join the Jacobi
-    # weight and the smooth Q(s)^(-alpha) stays in the integrand
+def _inner_integrals(k: int, alpha: float, g, xs: list, r: int, n_nodes: int) -> list:
+    # integral_0^x g(u)(x^r-u^r)^(-alpha) u^((k+alpha)r) du at each x of xs;
+    # with u = x s both endpoint factors (1-s)^(-alpha) and s^((k+alpha)r)
+    # join the Jacobi weight and the smooth Q(s)^(-alpha) stays in the
+    # integrand.  One call of g on every x s, one real row sum per x.
     rule = gauss_jacobi_rule(-alpha, (k + alpha) * r, n_nodes)
     s = rule.nodes
-    vals = np.asarray(g(x * s), dtype=float)
-    return float(x ** (1 + k * r) * np.sum(rule.weights * _Q(s, r) ** (-alpha) * vals))
+    sums = _row_sums(g, np.outer(xs, s), rule.weights * _Q(s, r) ** (-alpha), dtype=float)
+    return [float(x ** (1 + k * r) * v) for x, v in zip(xs, sums)]
 
 
 def apply_R_inverse_derivative_form(
@@ -118,7 +121,9 @@ def apply_R_inverse_derivative_form(
 
     The k+1 nested first derivatives of (1/(r x^(r-1))) d/dx are taken by
     central differences of step 1e-3 x with one level of Richardson
-    extrapolation.
+    extrapolation.  The differences read the weighted integral at 4^(k+1)
+    stencil points; all of them come from one quadrature pass (one call of
+    g) before the differences are taken.
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError("derivative-form inverse needs 0 < alpha < 1")
@@ -127,9 +132,6 @@ def apply_R_inverse_derivative_form(
     if x <= 0:
         raise ParameterError("evaluation point must be positive")
     h0 = 1e-3 * x
-
-    def F(xx):
-        return _inner_integral(k, alpha, g, xx, r, n_nodes)
 
     def deriv_op(fn):
         # (1/(r x^(r-1))) d/dx with Richardson one level deep
@@ -149,11 +151,25 @@ def apply_R_inverse_derivative_form(
 
         return out
 
-    op = F
-    for _ in range(k + 1):
-        op = deriv_op(op)
+    def stencil(F):
+        op = F
+        for _ in range(k + 1):
+            op = deriv_op(op)
+        return op(x)
+
+    # a first pass with a recording F collects the stencil points (equal
+    # values raise no warning); the second reads the tabulated integrals in
+    # the same order
+    points = []
+
+    def record(xx):
+        points.append(xx)
+        return 0.0
+
+    stencil(record)
+    values = iter(_inner_integrals(k, alpha, g, points, r, n_nodes))
     const = r ** 2 / (gamma_ratio([k + alpha], []) * gamma_ratio([1.0 - alpha], []))
-    return const * x ** (r - 1) * op(x)
+    return const * x ** (r - 1) * stencil(lambda xx: next(values))
 
 
 def apply_R_adjoint(

@@ -35,7 +35,7 @@ from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .reports import KIND_MEASURED, VerificationReport, make_report
 from .series import CyclicStructure, evaluate, kernel_log_peak, kernel_series_degree
 from .special import IndexVector
-from .hilbert import RayMap, RayTestFunction, ray_dunkl
+from .hilbert import RayMap, RayTestFunction, _per_ray, ray_dunkl
 from .operators import dunkl_kernel_series
 from .riemann_liouville import apply_R_adjoint
 from .transmutation import build_V_star
@@ -108,7 +108,8 @@ def _auto_Tmax(r: int, decay_scale: float, growth: float) -> float:
 
 def _ray_transform(g, kernel_at, a: float, r: int, Tmax: float, n_nodes: int,
                    c: CyclicStructure) -> complex:
-    """integral_0^inf sum_m g(omega^m t) kernel_at(m, t) t^a dt."""
+    """integral_0^inf sum_m g(omega^m t) kernel_at(m, t) t^a dt, with g and
+    the kernel each evaluated once on all r rays (m an array of indices)."""
     if a < 0:
         raise ParameterError("the weight exponent must satisfy a >= 0")
     if a == 0:
@@ -117,9 +118,10 @@ def _ray_transform(g, kernel_at, a: float, r: int, Tmax: float, n_nodes: int,
     else:
         rule = gauss_jacobi_rule(0.0, a, n_nodes)
         t, w = Tmax * rule.nodes, Tmax ** (a + 1.0) * rule.weights
+    rays = np.arange(c.r)
     acc = np.zeros_like(t, dtype=complex)
-    for m in range(c.r):
-        acc += np.asarray(g.on_ray(m, t), dtype=complex) * kernel_at(m, t)
+    for row in np.asarray(g.on_ray(rays, t), dtype=complex) * kernel_at(rays, t):
+        acc += row
     return complex(np.sum(w * acc))
 
 
@@ -131,7 +133,7 @@ def f_r_transform(g, lam: complex, a: float = 0.0, n_nodes: int = 240,
     Tmax = _auto_Tmax(c.r, getattr(g, "decay_scale", 1.0), abs(lam))
 
     def kern(m, t):
-        return np.exp(c.theta * lam * c.omega_pow(m) * t)
+        return np.exp(_per_ray(m, t, lambda k: c.theta * lam * c.omega_pow(k)) * t)
 
     return _ray_transform(g, kern, a, c.r, Tmax, n_nodes, c)
 
@@ -159,7 +161,7 @@ def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
         )
 
     def kern(m, t):
-        return evaluate(ker, lam * c.omega_pow(m) * t)
+        return evaluate(ker, _per_ray(m, t, lambda k: lam * c.omega_pow(k)) * t)
 
     return _ray_transform(g, kern, a, c.r, Tmax, n_nodes, c)
 

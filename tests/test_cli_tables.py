@@ -159,6 +159,28 @@ def test_table_stdout_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: `verify hilbert` and `verify rl` at seed 0: the ray sums and the
+#: derivative-form stencil print these reports byte for byte
+VERIFY_GOLDEN = [
+    ("hilbert", "2", "e5121c5e29dbce6f58e9ec56d38eaf3fe26414d7632356369fea139df9223994"),
+    ("hilbert", "3", "4951a1e824bcab82fe5a07acd1e43ef0106d8ad58c88c1eea470eac759c30228"),
+    ("hilbert", "4", "f4be622946889561feee7e3285326f86a2a9899bbab2b485481c6b6942c114f8"),
+    ("hilbert", "5", "6e2f02a1003389e84b48eb6cf6daa03c2d7f71116f8a65dff5583c0006f3087a"),
+    ("rl", "2", "9501052b55364b7494192f85ac19fdf3fb1e957e78db92fd12f8b9a193d30a46"),
+    ("rl", "3", "360a41e37436b602b24a90b509f75602d3087d33be252b4deccbf5577334c321"),
+    ("rl", "4", "9f81b3855fa3076c1d85d0fdb89b83d00f56fdb01c81679d8adfaf4f8cfc2ebb"),
+    ("rl", "5", "961760d6a676c2ae4e8690c67114877ad4f1437ba9368c26273e10ca1f969617"),
+]
+
+
+@pytest.mark.parametrize("suite, r, digest", VERIFY_GOLDEN,
+                         ids=[f"{s} --r {r}" for s, r, _ in VERIFY_GOLDEN])
+def test_verify_stdout_digest(capsys, suite, r, digest):
+    code, out, err = _run(capsys, "verify", suite, "--r", r, "--seed", "0")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- the transmutation matrix ----------------------------------------------------------
 
 def test_chain_factors_computed_once_per_degree(monkeypatch):

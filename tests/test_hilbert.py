@@ -10,17 +10,22 @@ from rdunkl.hilbert import (
     dunkl_adjoint_residual,
     dunkl_antisymmetry_residual,
     inner_product,
+    inner_product_plain,
     integration_by_parts_check,
     multiplication_adjoint_residuals,
     projector_symmetry_check,
     ray_ddx,
     ray_dunkl,
+    ray_lincomb,
     ray_mul_power,
     ray_poly,
+    ray_power,
     ray_project,
+    ray_projection,
     _random_test_function,
 )
-from rdunkl.series import CyclicStructure
+from rdunkl.quadrature import gauss_legendre_rule
+from rdunkl.series import CyclicStructure, evaluate
 
 
 def test_norm_of_x_gaussian():
@@ -207,3 +212,132 @@ def test_dunkl_on_family_matches_pointwise_definition(r, coeffs, d_min):
             proj_term += mu.a[k] * ray_project(f, k).on_ray(m, t)
         want = num + proj_term / (om * t)
         assert np.max(np.abs(df.on_ray(m, t) - want)) < 1e-6
+
+
+# -- all rays in one call against the ray-by-ray reference ------------------------
+#
+# The references below are the one-ray-at-a-time forms: each returns
+# fn(m, t) for a single ray index m and calls its inputs one ray at a time.
+
+def _ref_test_function(f):
+    c = f.c
+
+    def fn(m, t):
+        return evaluate(f.poly, c.omega_pow(m) * t) * np.exp(-f.decay_scale * t ** c.r)
+
+    return fn
+
+
+def _ref_power(g, p, c, conjugate=False):
+    def fn(m, t):
+        om = np.conj(c.omega_pow(m)) if conjugate else c.omega_pow(m)
+        return (om * t) ** p * g(m, t)
+
+    return fn
+
+
+def _ref_projection(g, k, c):
+    def fn(m, t):
+        acc = np.zeros(np.shape(t), dtype=complex)
+        for n in range(c.r):
+            acc = acc + c.omega_pow(n * k) * g(m + n, t)
+        return acc / c.r
+
+    return fn
+
+
+def _ref_lincomb(terms, scale=1.0):
+    def fn(m, t):
+        acc = np.zeros(np.shape(t), dtype=complex)
+        for w, term in terms:
+            acc = acc + w * term(m, t)
+        return scale * acc
+
+    return fn
+
+
+def _ref_D_star(mu, a, f):
+    c, r = mu.cyclic, mu.r
+    fprime = _ref_test_function(ray_ddx(f))
+    projections = [_ref_test_function(ray_project(f, (k + 1) % r)) for k in range(r)]
+
+    def fn(m, t):
+        om = c.omega_pow(m)
+        acc = om ** 2 * fprime(m, t).astype(complex)
+        w = om / t
+        for k in range(r):
+            coef = a - mu.a[k]
+            if coef != 0.0:
+                acc = acc + coef * w * projections[k](m, t)
+        return -acc
+
+    return fn
+
+
+def _ref_ray_sum(f, g, t, r):
+    acc = np.zeros_like(t, dtype=complex)
+    for m in range(r):
+        acc += f(m, t) * np.conj(g(m, t))
+    return acc
+
+
+def _stacked(ref, r, t):
+    return np.stack([ref(m, t) for m in range(r)])
+
+
+def _family(r):
+    c = CyclicStructure(r)
+    rng = np.random.default_rng(40 + r)
+    f = _random_test_function(c, rng)
+    principal = ray_poly(c, rng.standard_normal(6) + 1j * rng.standard_normal(6), -2, 0.7)
+    return c, f, principal
+
+
+RAY_T = np.linspace(0.05, 3.0, 23)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_all_ray_compositions_equal_ray_by_ray_reference(r):
+    c, f, principal = _family(r)
+    rays = np.arange(r)
+    for h in (f, principal):
+        ref = _ref_test_function(h)
+        assert np.array_equal(h.on_ray(rays, RAY_T), _stacked(ref, r, RAY_T))
+        for m in range(r):  # one index still gives values shaped like t
+            assert np.array_equal(h.on_ray(m, RAY_T), ref(m, RAY_T))
+        for p in (-2, -1, 1, 3):
+            for conjugate in (False, True):
+                got = ray_power(h, p, c, conjugate).on_ray(rays, RAY_T)
+                assert np.array_equal(got, _stacked(_ref_power(ref, p, c, conjugate), r, RAY_T))
+        for k in range(r):
+            got = ray_projection(h, k, c).on_ray(rays, RAY_T)
+            assert np.array_equal(got, _stacked(_ref_projection(ref, k, c), r, RAY_T))
+    terms = [(0.3 - 1.1j, ray_projection(f, 1, c)), (2.0, ray_power(principal, -1, c, True)),
+             (-0.5j, f)]
+    ref_terms = [(0.3 - 1.1j, _ref_projection(_ref_test_function(f), 1, c)),
+                 (2.0, _ref_power(_ref_test_function(principal), -1, c, True)),
+                 (-0.5j, _ref_test_function(f))]
+    got = ray_lincomb(terms, 0.75).on_ray(rays, RAY_T)
+    assert np.array_equal(got, _stacked(_ref_lincomb(ref_terms, 0.75), r, RAY_T))
+    mu = rd.IndexVector(r, (0.0, 0.8, 1.1, 0.6, 0.9)[:r])
+    for h in (f, principal):
+        got = apply_D_star(mu, 2.3, h).on_ray(rays, RAY_T)
+        assert np.array_equal(got, _stacked(_ref_D_star(mu, 2.3, h), r, RAY_T))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_inner_products_equal_ray_by_ray_sum(r):
+    c, f, principal = _family(r)
+    mu = rd.IndexVector(r, (0.0, 0.8, 1.1, 0.6, 0.9)[:r])
+    ip = WeightedInnerProduct(a=2.3, r=r, min_decay_scale=0.7)
+    pairs = [(f, principal, _ref_test_function(f), _ref_test_function(principal)),
+             (ray_projection(f, 1, c), apply_D_star(mu, 2.3, principal),
+              _ref_projection(_ref_test_function(f), 1, c), _ref_D_star(mu, 2.3, principal))]
+    for lhs, rhs, ref_lhs, ref_rhs in pairs:
+        t = ip.nodes
+        want = complex(np.sum(ip.weights * t * _ref_ray_sum(ref_lhs, ref_rhs, t, r)))
+        assert np.array_equal(inner_product(lhs, rhs, ip, c), want)
+        rule = gauss_legendre_rule(200, 0.0, ip.Tmax)
+        t = rule.nodes
+        want = complex(np.sum(rule.weights * t ** 2.3 * _ref_ray_sum(ref_lhs, ref_rhs, t, r)))
+        assert np.array_equal(inner_product_plain(lhs, rhs, 2.3, ip.Tmax, 200, c), want)

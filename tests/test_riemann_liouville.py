@@ -1,11 +1,14 @@
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import rdunkl as rd
-from rdunkl._errors import DomainError, ParameterError
+from rdunkl._errors import ConvergenceWarning, DomainError, ParameterError, SingularError
 from rdunkl.riemann_liouville import (
     apply_R_adjoint,
     apply_R_inverse_derivative_form,
@@ -16,6 +19,8 @@ from rdunkl.riemann_liouville import (
     l_coefficient,
     product_factorization_check,
 )
+from rdunkl.quadrature import gauss_jacobi_rule
+from rdunkl.special import gamma_ratio
 from rdunkl.series import LaurentSeries, monomial
 
 
@@ -161,6 +166,26 @@ def test_inverse_rejects_nonpositive_order():
         apply_R_inverse_series(0.0, monomial(1), 2)
 
 
+def test_inverse_series_names_the_degree_whose_factor_vanishes():
+    # l_n^(1/3) at r = 3 has 1/Gamma(1/3 + (n+1)/3) = 1/Gamma(0) = 0 for n = -2
+    with pytest.raises(SingularError, match="degree -2"):
+        apply_R_inverse_series(1 / 3, LaurentSeries(-2, [0.0]), 3)
+
+
+def test_inverse_series_refuses_a_vanishing_factor_under_optimization():
+    # python -O strips assert statements; the refusal must not depend on one
+    code = ("from rdunkl._errors import SingularError\n"
+            "from rdunkl.riemann_liouville import apply_R_inverse_series\n"
+            "from rdunkl.series import LaurentSeries\n"
+            "try:\n"
+            "    print(apply_R_inverse_series(1 / 3, LaurentSeries(-2, [0.0]), 3).coeffs)\n"
+            "except SingularError as exc:\n"
+            "    print('SingularError:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.startswith("SingularError:") and "degree -2" in proc.stdout
+
+
 # base points on both sides of Tmax / 2 = 4: part B is skipped from 4.0 on
 BASE_POINTS = np.array([0.05, 0.4, 1.3, 3.9, 4.0, 6.5])
 
@@ -234,3 +259,69 @@ def test_quadrature_mean_vectorized_matches_scalar_calls():
     got = apply_R_quadrature(0.6, g, xs, 3, 32)
     for x, v in zip(xs, got):
         assert v == apply_R_quadrature(0.6, g, float(x), 3, 32)
+
+
+def _derivative_form_reference(k, alpha, g, x, r, n_nodes=48):
+    # the per-point recursion: one Gauss-Jacobi sum, with its own call of g,
+    # at every stencil point of the nested Richardson differences
+    def F(xx):
+        rule = gauss_jacobi_rule(-alpha, (k + alpha) * r, n_nodes)
+        s = rule.nodes
+        q = np.ones_like(s)
+        for j in range(1, r):
+            q += s ** j
+        vals = np.asarray(g(xx * s), dtype=float)
+        return float(xx ** (1 + k * r) * np.sum(rule.weights * q ** (-alpha) * vals))
+
+    h0 = 1e-3 * x
+
+    def deriv_op(fn):
+        def d(xx, h):
+            return (fn(xx + h) - fn(xx - h)) / (2.0 * h)
+
+        def out(xx):
+            coarse = d(xx, h0)
+            fine = d(xx, h0 / 2.0)
+            val = (4.0 * fine - coarse) / 3.0
+            if abs(fine - coarse) > 1e-4 * (1.0 + abs(val)):
+                warnings.warn("finite-difference stencil lost more than half the target digits",
+                              ConvergenceWarning)
+            return val / (r * xx ** (r - 1))
+
+        return out
+
+    op = F
+    for _ in range(k + 1):
+        op = deriv_op(op)
+    const = r ** 2 / (gamma_ratio([k + alpha], []) * gamma_ratio([1.0 - alpha], []))
+    return const * x ** (r - 1) * op(x)
+
+
+def _warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val = fn(*args)
+    return val, sum(issubclass(w.category, ConvergenceWarning) for w in caught)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_derivative_form_one_quadrature_pass_equals_per_point_recursion(k, r):
+    alpha = 0.35
+    coef = l_coefficient(3, k + alpha, r)
+    smooth = lambda u: coef * u ** 3 - 0.25 * np.exp(-u)
+    # oscillating on the stencil's scale, so the differences warn
+    rough = lambda u: np.sin(3000.0 * u)
+    for g, warns in ((smooth, False), (rough, True)):
+        for x in (0.2, 1.3):
+            calls = []
+
+            def counted(u, g=g):
+                calls.append(np.shape(u))
+                return g(u)
+
+            got, n_got = _warned(apply_R_inverse_derivative_form, k, alpha, counted, x, r)
+            want, n_want = _warned(_derivative_form_reference, k, alpha, g, x, r)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+            assert calls == [(48 * 4 ** (k + 1),)]
+            assert n_got == n_want and (n_got > 0) == warns

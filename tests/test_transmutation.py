@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rdunkl as rd
+import rdunkl.transmutation as transmutation
 from rdunkl._errors import ParameterError
 from rdunkl.hilbert import (
     WeightedInnerProduct,
@@ -396,3 +397,35 @@ def test_matrix_bit_identical_to_per_degree_loop(alphas):
     want = _matrix_per_degree_loop(mu, 30)
     assert V.row_min == (0 if alphas[0] == 0.0 else -(mu.r - 1))
     assert np.array_equal(V.matrix, want)
+
+
+@pytest.mark.parametrize("mu", [rd.IndexVector(2, (0.0, 0.5)), EX9], ids=["r2", "r3"])
+def test_v_star_map_rebuilt_from_its_fn_gives_the_same_values_and_calls(mu, monkeypatch):
+    # a profiler wrapper rebuilds the evaluator's map as RayMap(wrapped(map._fn));
+    # the rebuilt map must answer every ray with the same values through the
+    # same number of adjoint integrals
+    calls = []
+    real = transmutation.apply_R_adjoint
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transmutation, "apply_R_adjoint", counting)
+    c = mu.cyclic
+    g = ray_poly(c, [0.4, 1.0, -0.3, 0.2])
+    ts = np.linspace(0.2, 2.5, 7)
+
+    def counted(ray_map, m):
+        calls.clear()
+        vals = ray_map.on_ray(m, ts)
+        return vals, len(calls)
+
+    for conjugate in (True, False):
+        vstar = build_V_star(mu, 2.1, 48, conjugate)
+        original, rebuilt = vstar(g), RayMap(vstar(g)._fn)
+        for m in list(range(mu.r)) + [np.arange(mu.r)]:
+            want, n_want = counted(original, m)
+            got, n_got = counted(rebuilt, m)
+            assert n_want > 0 and n_got == n_want
+            assert np.array_equal(got, want)
