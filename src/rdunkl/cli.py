@@ -34,13 +34,8 @@ def _fmt(v: float) -> str:
     if "e" not in s:
         return s
     s = np.format_float_positional(v, precision=15, unique=False, fractional=False)
-    sig, seen_nonzero = 0, False
-    for ch in s:
-        if ch.isdigit():
-            if ch != "0":
-                seen_nonzero = True
-            if seen_nonzero:
-                sig += 1
+    # significant digits: every digit from the first nonzero one on
+    sig = len(s.replace("-", "").replace(".", "").lstrip("0"))
     if "." in s:
         s += "0" * max(0, 15 - sig)
     return s

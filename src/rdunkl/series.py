@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +43,13 @@ class CyclicStructure:
         object.__setattr__(self, "omega", complex(np.exp(2j * np.pi / self.r)))
 
     def omega_pow(self, k: int) -> complex:
-        return complex(np.exp(2j * np.pi * (k % self.r) / self.r))
+        return _omega_powers(self.r)[k % self.r]
+
+
+@lru_cache(maxsize=None)
+def _omega_powers(r: int) -> tuple:
+    """omega^0..omega^(r-1), each computed once as exp(2 i pi m / r)."""
+    return tuple(complex(np.exp(2j * np.pi * m / r)) for m in range(r))
 
 
 @dataclass(frozen=True)

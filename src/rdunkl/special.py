@@ -53,7 +53,9 @@ class IndexVector:
         alphas = tuple(float(x) for x in self.alphas)
         if len(alphas) != r:
             raise ParameterError(f"expected {r} alphas, got {len(alphas)}")
-        for al in alphas:
+        for k, al in enumerate(alphas):
+            if not math.isfinite(al):
+                raise ParameterError(f"alpha_{k} must be finite, got {al}")
             if al < -0.5 and _is_nonpositive_integer(al):
                 raise PoleError(f"alpha = {al} is a negative integer")
         object.__setattr__(self, "r", r)

@@ -181,21 +181,48 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
 
     where e_n are the coefficients of E_mu: the ray sum keeps the degrees
     d + n = 0 (mod r) with weight r, and each ray integral is a Gamma moment.
-    The kernel series is built once, at the degree ``dunkl_transform_F``
-    uses for max |lam|, and every lam is evaluated by one Horner pass.
+    The series is built once, at the degree dunkl_transform_F uses for
+    max |lam|, and summed by one Horner pass over the grid that stops at
+    the degree n* where the rest of the series, at max |lam|, falls to
+    2^-60 of its largest term (``_kept_degree``).
 
-    Returns ``(values, error)``: ``error = 100 u sum_n |coef_n| |lam|^n``
-    (u the double epsilon) estimates the rounding error of each value; it
-    is inf or NaN where the magnitudes overflow.  A non-finite lam gets a
-    non-finite value and does not enter the truncation degree.
+    Returns ``(values, error)``: ``error = 100 u sum_{n <= n*} |coef_n|
+    |lam|^n`` (u the double epsilon) estimates the rounding error of each
+    value, plus the dropped tail, which bounds the dropped part at every
+    |lam| <= max |lam|.  The estimate is inf or NaN where the magnitudes
+    overflow.  A non-finite lam gets a non-finite value and does not enter
+    the truncation degree.
     """
+    lams = np.asarray(lams, dtype=complex)
+    lam_abs = float(np.max(np.abs(lams), initial=0.0, where=np.isfinite(lams)))
+    coef = _moment_coefficients(mu, a, g, lam_abs)
+    coef_mag = np.abs(coef)
+    top, tail = _kept_degree(coef_mag, lam_abs)
+    lam_mag = np.abs(lams)
+    vals = np.zeros_like(lams)
+    mags = np.zeros(lams.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(top, -1, -1):
+            np.multiply(vals, lams, out=vals)
+            np.multiply(mags, lam_mag, out=mags)
+            if coef[k] != 0:  # adding an exact zero changes at most a zero's sign
+                vals += coef[k]
+                mags += coef_mag[k]
+    return vals, 100.0 * np.finfo(float).eps * mags + tail
+
+
+def _moment_coefficients(mu: IndexVector, a: float, g: RayTestFunction,
+                         lam_abs: float) -> np.ndarray:
+    """coef_n = e_n sum_{d + n = 0 (mod r)} c_d Gamma((d+n+a+1)/r)
+    s^(-(d+n+a+1)/r) for n = 0..N, N the kernel degree dunkl_transform_F
+    uses at |lam| = lam_abs."""
     if abs(mu.alphas[0]) > 1e-12:
         raise ParameterError("the transform kernel needs alpha_0 = 0")
+    if not math.isfinite(a):
+        raise ParameterError(f"the weight exponent a must be finite, got {a}")
     if a < 0:
         raise ParameterError("the weight exponent must satisfy a >= 0")
     c, r, s = mu.cyclic, mu.r, g.decay_scale
-    lams = np.asarray(lams, dtype=complex)
-    lam_abs = float(np.max(np.abs(lams), initial=0.0, where=np.isfinite(lams)))
     ker = dunkl_kernel_series(mu, 1.0, kernel_series_degree(
         r, lam_abs * _kernel_Tmax(c, s, lam_abs)))
     e = ker.coeffs[-ker.n_min:]  # e_0..e_N
@@ -208,18 +235,36 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
         raise ParameterError("the transform integral diverges at the origin for this input")
     # |e_n| Gamma(p) s^(-p) in logs: Gamma overflows where e_n underflows
     log_gamma = np.zeros(p.shape)
-    log_gamma[paired] = [math.lgamma(x) for x in p[paired].tolist()]
-    with np.errstate(divide="ignore"):
+    try:
+        log_gamma[paired] = [math.lgamma(x) for x in p[paired].tolist()]
+    except OverflowError:  # an overflowing log-Gamma overflows every moment
+        log_gamma[:] = np.inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_mag = np.log(np.abs(e)) + log_gamma - p * np.log(s)
-    coef = np.exp(1j * np.angle(e)) * (gc @ np.exp(np.where(paired, log_mag, -np.inf)))
-    lam_mag, coef_mag = np.abs(lams), np.abs(coef)
-    vals = np.zeros_like(lams)
-    mags = np.zeros(lams.shape)
+        coef = np.exp(1j * np.angle(e)) * (gc @ np.exp(np.where(paired, log_mag, -np.inf)))
+    if not np.all(np.isfinite(coef)):
+        raise ParameterError(f"the Gamma moments of the transform overflow at the "
+                             f"weight exponent a = {a:g}")
+    return coef
+
+
+#: the moment series stops where the rest of it, at max |lam|, is at most
+#: this fraction of its largest term
+_TAIL_FRACTION = 2.0 ** -60
+
+
+def _kept_degree(coef_mag: np.ndarray, lam_abs: float) -> tuple:
+    """``(n*, tail)`` for the terms t_n = |coef_n| lam_abs^n: n* is the first
+    degree whose tail sum_{m > n*} t_m is at most ``_TAIL_FRACTION`` of
+    max t_n, and tail is that sum.  A NaN or inf among the t_n keeps every
+    degree, with a zero tail."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(coef) - 1, -1, -1):
-            vals = vals * lams + coef[k]
-            mags = mags * lam_mag + coef_mag[k]
-    return vals, 100.0 * np.finfo(float).eps * mags
+        t = coef_mag * lam_abs ** np.arange(len(coef_mag))
+    if not np.all(np.isfinite(t)):
+        return len(t) - 1, 0.0
+    tails = np.append(np.cumsum(t[::-1])[::-1][1:], 0.0)  # sum_{m > n} t_m
+    top = int(np.argmax(tails <= _TAIL_FRACTION * np.max(t)))
+    return top, float(tails[top])
 
 
 def factorization_residual(mu: IndexVector, a: float, g: RayTestFunction,

@@ -318,3 +318,28 @@ def test_dropped_flags_exit_2(args, capsys):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("args,reason", [
+    (("transform", "--r", "2", "--mu", "0,0.5", "--a", "1e308", "--lambda-grid", "0:1:3"),
+     "the Gamma moments of the transform overflow at the weight exponent a = 1e+308"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--a", "inf", "--lambda-grid", "0:1:3"),
+     "the weight exponent a must be finite, got inf"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--a", "nan", "--lambda-grid", "0:1:3"),
+     "the weight exponent a must be finite, got nan"),
+    (("transform", "--r", "2", "--mu", "0,inf", "--a", "1", "--lambda-grid", "0:1:3"),
+     "alpha_1 must be finite, got inf"),
+    (("eval", "j", "--r", "2", "--alpha", "0,inf", "--x-grid", "0:1:3"),
+     "alpha_1 must be finite, got inf"),
+])
+def test_non_finite_or_overflowing_parameters_are_refused(args, reason, capsys):
+    # the parameter is named, not a grid point, and no numpy warning comes first
+    from rdunkl.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(args))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}\n"
+    assert "Warning" not in err

@@ -125,6 +125,19 @@ def test_fmt_matches_dragon4_byte_for_byte():
     assert not bad, [(v, _fmt(v), _fmt_dragon4(v)) for v in bad[:5]]
 
 
+def test_fmt_digit_count_matches_the_character_loop():
+    # the oracle counts significant digits one character at a time; doubles
+    # with binary exponents -320..320, both signs, and the edges of the
+    # exponent-form branch
+    rng = np.random.default_rng(20261019)
+    n = 100_000
+    sample = (np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-320, 321, n))
+              * rng.choice([-1.0, 1.0], n))
+    edges = [0.0, -0.0, 1e15, -1e15, 1e15 + 0.5, 9.99999999999995e-5, 1e-4, 5e-324]
+    bad = [v for v in sample.tolist() + edges if _fmt(v) != _fmt_dragon4(v)]
+    assert not bad, [(v, _fmt(v), _fmt_dragon4(v)) for v in bad[:5]]
+
+
 def test_fmt_exponent_form_falls_back_to_positional():
     assert _fmt(999999999999999.6) == "1000000000000000."
     assert _fmt(1.5e-5) == "0.0000150000000000000"
@@ -148,6 +161,9 @@ GOLDEN = [
     (("transform", "--r", "4", "--mu", "0,0.5,0.5,0.5", "--a", "2", "--input", "gaussian",
       "--lambda-grid=-2.8:2.8:41"),
      "4bb6cde7925eb0d1191ba2dafcccc64812e472a674aead168907fcffb5bc438d"),
+    (("transform", "--r", "3", "--mu", EX9, "--a", "2.7", "--input", "gaussian",
+      "--lambda-grid=-3:3:41"),
+     "5c83daee1e21b2d0f582adb9ca58e759a181f69ca3814fbd1df8225fe3e7dcf7"),
 ]
 
 
@@ -159,8 +175,9 @@ def test_table_stdout_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-#: `verify hilbert` and `verify rl` at seed 0: the ray sums and the
-#: derivative-form stencil print these reports byte for byte
+#: `verify hilbert`, `verify rl` and `verify transform` at seed 0: the ray
+#: sums, the derivative-form stencil and the moment series print these
+#: reports byte for byte
 VERIFY_GOLDEN = [
     ("hilbert", "2", "e5121c5e29dbce6f58e9ec56d38eaf3fe26414d7632356369fea139df9223994"),
     ("hilbert", "3", "4951a1e824bcab82fe5a07acd1e43ef0106d8ad58c88c1eea470eac759c30228"),
@@ -170,6 +187,8 @@ VERIFY_GOLDEN = [
     ("rl", "3", "360a41e37436b602b24a90b509f75602d3087d33be252b4deccbf5577334c321"),
     ("rl", "4", "9f81b3855fa3076c1d85d0fdb89b83d00f56fdb01c81679d8adfaf4f8cfc2ebb"),
     ("rl", "5", "961760d6a676c2ae4e8690c67114877ad4f1437ba9368c26273e10ca1f969617"),
+    ("transform", "2", "8f4670ae92e50542d6c095ae2309fb5de33f8e6ea9e4083f8dea6565fddcdb48"),
+    ("transform", "3", "18b132b0935998370d53c4179470f9e2231cbc36100f5eb574744158915b1d5c"),
 ]
 
 

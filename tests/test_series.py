@@ -228,3 +228,13 @@ def test_projection_sum_is_identity_property(r, seed):
     for k in range(r):
         total = add(total, rd.project_T(f, k, c))
     assert rd.series_residual(total, f) < 1e-15
+
+
+def test_omega_pow_equals_its_expression_bit_for_bit():
+    for r in range(2, 8):
+        c = rd.CyclicStructure(r)
+        for k in range(-3 * r, 3 * r + 1):
+            want = complex(np.exp(2j * np.pi * (k % r) / r))
+            got = c.omega_pow(k)
+            assert type(got) is complex
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

@@ -20,7 +20,9 @@ from rdunkl.transforms import (
     f_r_transform,
     factorization_residual,
     grade_transport_check,
+    _kept_degree,
     _kernel_Tmax,
+    _moment_coefficients,
     laplace_theta,
     laplace_theta_inverse,
     moment_transform,
@@ -503,3 +505,90 @@ def test_moment_transform_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         moment_transform(rd.IndexVector(2, (0.0, 0.5)), 0.5,
                          ray_poly(CyclicStructure(2), [1.0], d_min=-2), [1.0])
+
+
+# -- where the moment series stops --------------------------------------------
+
+def _untruncated_horner(coef, lams):
+    """Reference: Horner over every degree of the moment series, with the
+    magnitudes sum_n |coef_n| |lam|^n of the same pass."""
+    vals, mags = np.zeros_like(lams), np.zeros(lams.shape)
+    for k in range(len(coef) - 1, -1, -1):
+        vals = vals * lams + coef[k]
+        mags = mags * np.abs(lams) + np.abs(coef[k])
+    return vals, mags
+
+
+#: (mu, a, input, lam grid) of the transform benchmark's three cases at
+#: max |lam| 2.8 and 3
+WORKLOAD_CASES = [
+    (mu, a, g, np.linspace(-lm, lm, 41))
+    for mu, a, g in (
+        (MOMENT_INDICES[2], 2.0, ray_poly(CyclicStructure(2), [0.0, 1.0])),
+        ((0.0, 0.5666666666666667, -0.6666666666666666), 2.7,
+         ray_poly(CyclicStructure(3), [1.0], decay_scale=0.5)),
+        (MOMENT_INDICES[4], 2.0, ray_poly(CyclicStructure(4), [1.0], decay_scale=0.5)),
+    )
+    for lm in (2.8, 3.0)
+]
+#: and the grid of test_moment_transform_matches_quadrature
+QUADRATURE_GRID_CASES = [
+    (MOMENT_INDICES[r], a, _moment_input(r, kind),
+     np.array([-1.7, 0.0, 0.6, 2.3, 1.2 + 0.6j, -0.4 - 1.1j]))
+    for r in (2, 3, 4, 5) for kind in ("gaussian", "poly") for a in (0.0, 1.0, 2.0, 2.7)
+]
+
+
+def _truncation(alphas, a, g, lams):
+    """(values, error) of moment_transform, the series coefficients, n*, and
+    the grid as a complex array."""
+    mu = rd.IndexVector(len(alphas), alphas)
+    lams = np.asarray(lams, dtype=complex)
+    lam_abs = float(np.max(np.abs(lams)))
+    coef = _moment_coefficients(mu, a, g, lam_abs)
+    top, _ = _kept_degree(np.abs(coef), lam_abs)
+    assert top < len(coef) - 1  # the sum does stop early here
+    return *moment_transform(mu, a, g, lams), coef, top, lams
+
+
+@pytest.mark.parametrize("alphas, a, g, lams", WORKLOAD_CASES)
+def test_benchmark_grids_equal_the_untruncated_horner_bit_for_bit(alphas, a, g, lams):
+    got, _, coef, _, lams = _truncation(alphas, a, g, lams)
+    want, _ = _untruncated_horner(coef, lams)
+    assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
+
+
+@pytest.mark.parametrize("alphas, a, g, lams", WORKLOAD_CASES + QUADRATURE_GRID_CASES)
+def test_truncated_series_is_within_its_estimate_of_the_whole_sum(alphas, a, g, lams):
+    got, err, coef, top, lams = _truncation(alphas, a, g, lams)
+    # the kept degrees are summed exactly as a plain Horner pass sums them
+    kept, _ = _untruncated_horner(coef[:top + 1], lams)
+    assert np.array_equal(got.real, kept.real) and np.array_equal(got.imag, kept.imag)
+    # the estimate covers the dropped part and the distance to the whole sum
+    dropped = _untruncated_horner(np.where(np.arange(len(coef)) > top, coef, 0.0), lams)[1]
+    assert np.all(err >= dropped)
+    want, _ = _untruncated_horner(coef, lams)
+    assert np.all(np.abs(got - want) <= err)
+
+
+def test_kept_degree_keeps_every_degree_of_a_non_finite_list():
+    for bad in (np.inf, np.nan):
+        mags = np.array([1.0, 0.5, bad, 0.25, 0.0, 1e-30])
+        assert _kept_degree(mags, 2.0) == (5, 0.0)
+    # and the first degree whose tail is small enough otherwise
+    mags = np.array([1.0, 0.5, 2.0 ** -70, 2.0 ** -80])
+    top, tail = _kept_degree(mags, 1.0)
+    assert (top, tail) == (1, 2.0 ** -70 + 2.0 ** -80)
+
+
+@pytest.mark.parametrize("kind", ["poly:0,1", "gaussian"])
+def test_grid_of_zero_returns_the_constant_coefficient(kind):
+    mu = rd.IndexVector(2, MOMENT_INDICES[2])
+    c = CyclicStructure(2)
+    g = ray_poly(c, [0.0, 1.0]) if kind == "poly:0,1" else ray_poly(c, [1.0], decay_scale=0.5)
+    got, _ = moment_transform(mu, 2.0, g, [0.0])
+    assert got[0] == _moment_coefficients(mu, 2.0, g, 0.0)[0]
+    if kind == "poly:0,1":
+        assert got[0] == 0.0
+    else:
+        assert got[0] != 0.0
