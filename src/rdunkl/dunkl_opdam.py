@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import ParameterError
-from .series import CyclicStructure, LaurentSeries
+from .series import CyclicStructure, LaurentSeries, shifted
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ def apply_T_kappa(kappa: KappaVector, f: LaurentSeries, c: CyclicStructure) -> L
     into degree n - 1."""
     r = c.r
     b = _reflection_coeffs(kappa, c)
-    degs = np.arange(f.n_min, f.n_max + 1)
+    degs = f.degrees
     phase = np.exp(2j * np.pi * np.outer(np.arange(r), degs) / r)  # omega^(s n)
     weights = degs + b @ phase
-    return LaurentSeries(f.n_min - 1, f.coeffs * weights, f.valid_order - 1)
+    return shifted(f, f.coeffs * weights, -1)
 
 
 def kappa_to_a(kappa: KappaVector, c: CyclicStructure) -> list[complex]:

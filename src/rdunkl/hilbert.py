@@ -40,6 +40,7 @@ from .series import (
     evaluate,
     mul_x_power,
     project_T,
+    shifted,
 )
 from .special import IndexVector
 
@@ -156,7 +157,7 @@ def _with_decay_term(f: RayTestFunction, dp: LaurentSeries) -> RayTestFunction:
     exponential has grade 0, so the operator adds only the term
     -s r x^(r-1) p from differentiating it."""
     r, s = f.c.r, f.decay_scale
-    decay = LaurentSeries(f.poly.n_min + r - 1, -(s * r) * f.poly.coeffs)
+    decay = shifted(f.poly, -(s * r) * f.poly.coeffs, r - 1)
     return RayTestFunction(f.c, add(dp, decay), s)
 
 

@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._errors import ParameterError
-from .quadrature import _RULE_CACHE_SIZE, _frozen, _jacobi_reference, gauss_jacobi_rule
+from .quadrature import (_RULE_CACHE_SIZE, _frozen, _golub_welsch, _jacobi_reference,
+                         gauss_jacobi_rule)
 from .reports import VerificationReport, make_report
 from .special import IndexVector, cos_r_value, gamma_ratio
 from .operators import v_terms
@@ -77,9 +78,8 @@ def _gauss_reduce(P: np.ndarray, W: np.ndarray, n: int):
     """n-point Gauss rule of the discrete measure sum_k W_k delta(P_k).
 
     Lanczos on diag(P) from the start vector sqrt(W / sum W), with full
-    reorthogonalization, gives the n x n Jacobi matrix of the measure; its
-    eigenvalues are the nodes and sum(W) times the squared first components
-    of its eigenvectors the weights (Golub & Welsch, Math. Comp. 23, 1969).
+    reorthogonalization, gives the n x n Jacobi matrix of the measure, and
+    ``quadrature._golub_welsch`` turns it into the rule of mass sum(W).
     The measure has more than n support points, so no beta vanishes.
     """
     total = W.sum()
@@ -97,9 +97,7 @@ def _gauss_reduce(P: np.ndarray, W: np.ndarray, n: int):
         v -= Q[:k + 1].T @ (Q[:k + 1] @ v)
         beta[k] = np.linalg.norm(v)
         Q[k + 1] = v / beta[k]
-    J = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    nodes, vecs = np.linalg.eigh(J)
-    return nodes, total * vecs[0] ** 2
+    return _golub_welsch(alpha, beta, total)
 
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)

@@ -22,8 +22,8 @@ from ._errors import DomainError, ParameterError
 from .series import (
     LaurentSeries,
     guarded_evaluate,
-    mul_x_power,
     scale_argument,
+    shifted,
 )
 from .special import IndexVector, bessel_j_series, index_shift
 from .reports import VerificationReport, make_report
@@ -35,10 +35,7 @@ def apply_L(f: LaurentSeries, a: float) -> LaurentSeries:
     Degree n feeds (n + a) * c_n into degree n - 1, including n = 0 which
     populates the principal part when a != 0.
     """
-    degs = np.arange(f.n_min, f.n_max + 1)
-    out = f.coeffs * (degs + a)
-    grade = None if f.grade is None else (f.grade + 1) % f.r
-    return LaurentSeries(f.n_min - 1, out, f.valid_order - 1, grade, f.r)
+    return shifted(f, f.coeffs * (f.degrees + a), -1)
 
 
 def apply_L_chain(f: LaurentSeries, a_list) -> LaurentSeries:
@@ -63,12 +60,9 @@ def apply_Delta_rotated(mu: IndexVector, f: LaurentSeries, k: int) -> LaurentSer
 
 def apply_D(mu: IndexVector, f: LaurentSeries) -> LaurentSeries:
     """r-extension of the Dunkl operator as the closed weighted shift."""
-    r = mu.r
-    a = np.asarray(mu.a)
-    degs = np.arange(f.n_min, f.n_max + 1)
-    weights = degs + a[(-degs) % r]
-    grade = None if f.grade is None else (f.grade + 1) % r
-    return LaurentSeries(f.n_min - 1, f.coeffs * weights, f.valid_order - 1, grade, f.r)
+    degs = f.degrees
+    weights = degs + np.asarray(mu.a)[(-degs) % mu.r]
+    return shifted(f, f.coeffs * weights, -1)
 
 
 def dunkl_kernel_series(mu: IndexVector, lam: complex, N: int) -> LaurentSeries:
@@ -97,10 +91,10 @@ def dunkl_kernel_series(mu: IndexVector, lam: complex, N: int) -> LaurentSeries:
     return LaurentSeries(1 - r, coeffs, N)
 
 
-def dunkl_kernel_values(mu: IndexVector, z, N: int | None = None):
+def dunkl_kernel_values(mu: IndexVector, z):
     """Point values of E_mu at complex arguments by the guarded Horner
     evaluation of its series (``series.guarded_evaluate``)."""
-    return guarded_evaluate(lambda n: dunkl_kernel_series(mu, 1.0, n), mu.r, z, N)
+    return guarded_evaluate(lambda n: dunkl_kernel_series(mu, 1.0, n), mu.r, z)
 
 
 def bessel_eigen_residuals(mu: IndexVector, lam: complex, N: int) -> tuple[float, float]:
@@ -119,7 +113,7 @@ def bessel_eigen_residuals(mu: IndexVector, lam: complex, N: int) -> tuple[float
     r = mu.r
     j = scale_argument(bessel_j_series(mu, N), lam)
     dj = apply_Delta(mu, j)
-    rhs = LaurentSeries(j.n_min, -(lam ** r) * j.coeffs, j.valid_order - r)
+    rhs = shifted(j, -(lam ** r) * j.coeffs)  # the residual clamps to dj's watermark
     regular = series_residual(dj, rhs, from_degree=0)
     closed = float(r) ** r
     for al in mu.alphas:
@@ -140,21 +134,15 @@ def case_recurrence_check(mu: IndexVector, N: int) -> VerificationReport:
     r = mu.r
     lhs = apply_D(mu, bessel_j_series(mu, N))
     if abs(mu.alphas[0]) > 1e-12:
-        shifted = index_shift(mu, "minus")
-        rhs = mul_x_power(bessel_j_series(shifted, N), -1)
-        rhs = LaurentSeries(rhs.n_min, r * mu.alphas[0] * rhs.coeffs, rhs.valid_order)
+        j = bessel_j_series(index_shift(mu, "minus"), N)
+        rhs = shifted(j, r * mu.alphas[0] * j.coeffs, -1)
         case = "alpha0_nonzero"
     else:
-        shifted = index_shift(mu, "plus")
+        j = bessel_j_series(index_shift(mu, "plus"), N)
         denom = 1.0
         for al in mu.alphas[1:]:
             denom *= al + 1.0
-        rhs = mul_x_power(bessel_j_series(shifted, N), r - 1)
-        rhs = LaurentSeries(
-            rhs.n_min,
-            -rhs.coeffs / (denom * float(r) ** (r - 1)),
-            rhs.valid_order,
-        )
+        rhs = shifted(j, -j.coeffs / (denom * float(r) ** (r - 1)), r - 1)
         case = "alpha0_zero"
     resid = series_residual(lhs, rhs)
     return make_report(

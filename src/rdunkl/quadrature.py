@@ -77,11 +77,18 @@ def _jacobi_reference(p: float, q: float, n: int):
     beta = np.concatenate((
         [4.0 * (1.0 + p) * (1.0 + q) / ((2.0 + s) ** 2 * (3.0 + s))],
         4.0 * k * (k + p) * (k + q) * (k + s) / (t * t * (t + 1.0) * (t - 1.0))))[: n - 1]
-    # the Jacobi matrix of v = (1 + x)/2 on [0, 1]; eigh reads its lower triangle
-    J = np.diag(0.5 * (1.0 + alpha)) + np.diag(0.5 * np.sqrt(beta), -1)
-    nodes, vecs = np.linalg.eigh(J)
     mass = np.exp(lgamma(p + 1.0) + lgamma(q + 1.0) - lgamma(s + 2.0))  # B(p+1, q+1)
-    return _frozen(nodes), _frozen(mass * vecs[0] ** 2)
+    # the Jacobi matrix of v = (1 + x)/2 on [0, 1]
+    nodes, weights = _golub_welsch(0.5 * (1.0 + alpha), 0.5 * np.sqrt(beta), mass)
+    return _frozen(nodes), _frozen(weights)
+
+
+def _golub_welsch(diag: np.ndarray, offdiag: np.ndarray, mass: float):
+    """Golub-Welsch: nodes and weights of the Gauss rule of mass ``mass``
+    whose Jacobi matrix has ``diag`` and ``offdiag``.  eigh reads only the
+    lower triangle, so only that is built."""
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, -1))
+    return nodes, mass * vecs[0] ** 2
 
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)

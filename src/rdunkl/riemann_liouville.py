@@ -25,7 +25,7 @@ import numpy as np
 from ._errors import ConvergenceWarning, DomainError, ParameterError, SingularError
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .reports import VerificationReport, make_report
-from .series import LaurentSeries
+from .series import LaurentSeries, shifted
 from .special import IndexVector, gamma_ratio
 
 
@@ -36,16 +36,21 @@ def l_coefficient(n: int, alpha: float, r: int) -> float:
     return (1.0 / r) * gamma_ratio([(n + 1.0) / r, alpha], [alpha + (n + 1.0) / r])
 
 
-def _require_regular(f: LaurentSeries):
+def _l_factors(alpha: float, f: LaurentSeries, r: int) -> np.ndarray:
+    """l_n^alpha at each stored degree n of a series without principal part,
+    and 1 where Gamma((n+1)/r) has its pole (n = -1 mod r, n < 0): the
+    coefficients there are zero and pass through unscaled."""
     if f.has_principal_part(1e-300):
         raise DomainError("R_alpha is only defined on series without a principal part")
+    degs = f.degrees
+    pole = (degs < 0) & ((degs + 1) % r == 0)
+    fac = np.ones(len(degs))
+    fac[~pole] = [l_coefficient(int(n), alpha, r) for n in degs[~pole]]
+    return fac
 
 
 def apply_R_series(alpha: float, f: LaurentSeries, r: int) -> LaurentSeries:
-    _require_regular(f)
-    degs = np.arange(f.n_min, f.n_max + 1)
-    fac = np.array([l_coefficient(int(n), alpha, r) for n in degs])
-    return LaurentSeries(f.n_min, f.coeffs * fac, f.valid_order, f.grade, f.r)
+    return shifted(f, f.coeffs * _l_factors(alpha, f, r))
 
 
 def apply_R_quadrature(alpha: float, g, x: complex | np.ndarray, r: int,
@@ -87,13 +92,11 @@ def apply_R_inverse_series(order: float, f: LaurentSeries, r: int) -> LaurentSer
     """Exact inverse of apply_R_series: divides each coefficient by l_n."""
     if order <= 0:
         raise ParameterError("inverse order must be positive")
-    _require_regular(f)
-    degs = np.arange(f.n_min, f.n_max + 1)
-    fac = np.array([l_coefficient(int(n), order, r) for n in degs])
+    fac = _l_factors(order, f, r)
     if np.any(fac == 0.0):
-        n = int(degs[np.argmax(fac == 0.0)])
+        n = int(f.degrees[np.argmax(fac == 0.0)])
         raise SingularError(f"R_{order} is not invertible on degree {n}: its factor l_{n} vanishes")
-    return LaurentSeries(f.n_min, f.coeffs / fac, f.valid_order, f.grade, f.r)
+    return shifted(f, f.coeffs / fac)
 
 
 def _inner_integrals(k: int, alpha: float, g, xs: list, r: int, n_nodes: int) -> list:
@@ -227,16 +230,13 @@ def product_factorization_check(mu: IndexVector, N: int, case: str = "") -> Veri
     from .mehler import MehlerWeight
     from .series import series_residual
     from .special import bessel_j_series, cos_r_series
+    from .transmutation import fractional_mean_chain
 
     r = mu.r
     weight = MehlerWeight(mu)
     chain = cos_r_series(mu.cyclic, N)
-    degs = np.arange(chain.n_min, chain.n_max + 1)
-    fac = np.ones(len(degs))
-    for i in weight.included:
-        beta = mu.alphas[i] + i / r
-        fac *= np.array([l_coefficient(int(n) + r - i - 1, beta, r) for n in degs])
-    lhs = LaurentSeries(chain.n_min, weight.c_norm * chain.coeffs * fac, chain.valid_order)
+    fac = fractional_mean_chain(weight, chain.degrees)
+    lhs = shifted(chain, weight.c_norm * chain.coeffs * fac)
     rhs = bessel_j_series(mu, N)
     resid = series_residual(lhs, rhs)
     return make_report(

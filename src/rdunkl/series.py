@@ -9,6 +9,10 @@ coefficient identities.
 Each series carries a ``valid_order`` watermark: degree-lowering operations
 shrink the range of trustworthy coefficients, and comparisons clamp to the
 common watermark.  This keeps truncation edge effects out of residuals.
+
+``shifted`` is the one place a weighted shift or diagonal builds its image:
+it moves the degrees, the watermark and the grade tag together, so every
+operator states only its coefficients and its degree shift.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class LaurentSeries:
         scale = np.max(mags)
         if scale == 0.0:
             return
-        degs = np.arange(self.n_min, self.n_max + 1)
+        degs = self.degrees
         bad = degs[((degs + self.grade) % self.r != 0) & (mags > GRADE_ZERO_TOL * scale)]
         if bad.size:
             raise ParameterError(
@@ -99,8 +103,9 @@ class LaurentSeries:
         return self.n_min + len(self.coeffs) - 1
 
     @property
-    def degrees(self) -> range:
-        return range(self.n_min, self.n_max + 1)
+    def degrees(self) -> np.ndarray:
+        """The stored degrees n_min..n_max as an integer array."""
+        return np.arange(self.n_min, self.n_max + 1)
 
     def __getitem__(self, n: int) -> complex:
         """Coefficient at degree ``n`` (zero outside the stored range)."""
@@ -116,10 +121,18 @@ class LaurentSeries:
         return bool(np.any(np.abs(head) > tol * scale))
 
 
-def monomial(n: int, coeff: complex = 1.0, n_max: int | None = None) -> LaurentSeries:
+def shifted(f: LaurentSeries, coeffs, by: int = 0) -> LaurentSeries:
+    """``coeffs`` on the degrees of ``f`` moved by ``by``: the image of f
+    under an operator that sends x^n to a multiple of x^(n + by).  The
+    watermark moves by ``by`` and a grade tag by -by (mod r)."""
+    grade = None if f.grade is None else (f.grade - by) % f.r
+    return LaurentSeries(f.n_min + by, coeffs, f.valid_order + by, grade, f.r)
+
+
+def monomial(n: int, n_max: int | None = None) -> LaurentSeries:
     top = n if n_max is None else max(n, n_max)
     c = np.zeros(top - n + 1, dtype=complex)
-    c[0] = coeff
+    c[0] = 1.0
     return LaurentSeries(n, c)
 
 
@@ -129,7 +142,6 @@ def zero_series(n_min: int = 0, n_max: int = 0) -> LaurentSeries:
 
 def exp_series(rate: complex, N: int) -> LaurentSeries:
     """Series of exp(rate*x) through degree N."""
-    n = np.arange(N + 1)
     coeffs = np.empty(N + 1, dtype=complex)
     coeffs[0] = 1.0
     for k in range(1, N + 1):
@@ -140,9 +152,8 @@ def exp_series(rate: complex, N: int) -> LaurentSeries:
 def s_action(f: LaurentSeries, k: int, c: CyclicStructure) -> LaurentSeries:
     """The twisted rotation g(x) -> omega^k g(omega x): coefficient at degree
     n picks up omega^(k+n)."""
-    degs = np.arange(f.n_min, f.n_max + 1)
-    phases = np.exp(2j * np.pi * ((k + degs) % c.r) / c.r)
-    return LaurentSeries(f.n_min, f.coeffs * phases, f.valid_order, f.grade, f.r)
+    phases = np.exp(2j * np.pi * ((k + f.degrees) % c.r) / c.r)
+    return shifted(f, f.coeffs * phases)
 
 
 def project_T(f: LaurentSeries, k: int, c: CyclicStructure) -> LaurentSeries:
@@ -151,21 +162,16 @@ def project_T(f: LaurentSeries, k: int, c: CyclicStructure) -> LaurentSeries:
     Idempotent; distinct projectors annihilate each other; the sum over
     k = 0..r-1 is the identity.
     """
-    degs = np.arange(f.n_min, f.n_max + 1)
-    mask = (degs + k) % c.r == 0
+    mask = (f.degrees + k) % c.r == 0
     return LaurentSeries(f.n_min, np.where(mask, f.coeffs, 0.0), f.valid_order, k % c.r, c.r)
 
 
 def differentiate(f: LaurentSeries) -> LaurentSeries:
-    degs = np.arange(f.n_min, f.n_max + 1)
-    out = f.coeffs * degs
-    grade = None if f.grade is None else (f.grade + 1) % f.r
-    return LaurentSeries(f.n_min - 1, out, f.valid_order - 1, grade, f.r)
+    return shifted(f, f.coeffs * f.degrees, -1)
 
 
 def mul_x_power(f: LaurentSeries, m: int) -> LaurentSeries:
-    grade = None if f.grade is None else (f.grade - m) % f.r
-    return LaurentSeries(f.n_min + m, f.coeffs, f.valid_order + m, grade, f.r)
+    return shifted(f, f.coeffs, m)
 
 
 def scale_argument(f: LaurentSeries, lam: complex) -> LaurentSeries:
@@ -178,8 +184,7 @@ def scale_argument(f: LaurentSeries, lam: complex) -> LaurentSeries:
         coeffs = np.zeros(valid + 1, dtype=complex)
         coeffs[0] = f[0]
         return LaurentSeries(0, coeffs, valid)
-    degs = np.arange(f.n_min, f.n_max + 1)
-    return LaurentSeries(f.n_min, f.coeffs * lam ** degs, f.valid_order, f.grade, f.r)
+    return shifted(f, f.coeffs * lam ** f.degrees)
 
 
 def add(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
@@ -195,11 +200,9 @@ def add(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
 def lincomb(pairs) -> LaurentSeries:
     acc = None
     for w, f in pairs:
-        term = LaurentSeries(f.n_min, w * f.coeffs, f.valid_order, f.grade, f.r)
+        term = shifted(f, w * f.coeffs)
         acc = term if acc is None else add(acc, term)
-    if acc is None:
-        return zero_series()
-    return acc
+    return zero_series() if acc is None else acc
 
 
 def evaluate(f: LaurentSeries, x) -> complex | np.ndarray:
@@ -211,14 +214,13 @@ def evaluate(f: LaurentSeries, x) -> complex | np.ndarray:
     nonzero principal part is present and some x is 0.
     """
     x = np.asarray(x, dtype=complex)
-    top = min(f.valid_order, f.n_max)
-    if top < f.n_min:
+    degs = np.arange(f.n_min, f.valid_order + 1)
+    if not degs.size:
         raise DomainError("no trustworthy coefficients left to evaluate")
-    coeffs = f.coeffs[: top - f.n_min + 1]
-    degs = np.arange(f.n_min, top + 1)
+    coeffs = f.coeffs[: degs.size]
     if f.n_min < 0 and np.any(np.abs(coeffs[degs < 0]) > 0) and np.any(x == 0):
         raise DomainError("evaluation at 0 with nonzero principal part")
-    reg = coeffs[degs >= 0]  # degrees max(n_min, 0) .. top
+    reg = coeffs[degs >= 0]  # degrees max(n_min, 0) .. valid_order
     val = np.zeros_like(x)
     for cn in reg[::-1]:
         val = val * x + cn
@@ -247,28 +249,25 @@ def kernel_log_peak(ser: LaurentSeries, zmax: float) -> float:
     kernel series, or -inf when they all vanish.  Computed in logs, so the
     peak term cannot itself overflow; the kernel-cancellation guards compare
     it against their own thresholds."""
-    top = min(ser.valid_order, ser.n_max)
-    degs = np.arange(ser.n_min, top + 1)
-    mags = np.abs(ser.coeffs[: top - ser.n_min + 1])
+    degs = np.arange(ser.n_min, ser.valid_order + 1)
+    mags = np.abs(ser.coeffs[: len(degs)])
     nz = mags > 0
     if not np.any(nz):
         return -np.inf
     return float(np.max(np.log(mags[nz]) + np.clip(degs[nz], 0, None) * np.log(zmax)))
 
 
-def guarded_evaluate(build, r: int, z, N: int | None = None):
+def guarded_evaluate(build, r: int, z):
     """Values at complex ``z`` of the series ``build(N)`` of j_mu or E_mu
-    (order r), N by default ``kernel_series_degree(r, max |z|)`` up to 4000
-    terms of j_mu.  Raises SeriesOverflowError past that limit, for a value
-    that is not finite, and, at max |z| > 1, when the largest term exceeds
-    the smallest value by more than 1e12 (more than 12 digits cancel)."""
+    (order r), N = ``kernel_series_degree(r, max |z|)`` up to 4000 terms of
+    j_mu.  Raises SeriesOverflowError past that limit, for a value that is
+    not finite, and, at max |z| > 1, when the largest term exceeds the
+    smallest value by more than 1e12 (more than 12 digits cancel)."""
     z = np.asarray(z, dtype=complex)
     zmax = float(np.max(np.abs(z))) if z.size else 0.0
-    if N is None:
-        if not 1.6 * zmax <= 4000.0:  # also refuses inf and NaN
-            raise SeriesOverflowError(f"|z| = {zmax:.3g} needs more than 4000 series terms")
-        N = kernel_series_degree(r, zmax)
-    ser = build(N)
+    if not 1.6 * zmax <= 4000.0:  # also refuses inf and NaN
+        raise SeriesOverflowError(f"|z| = {zmax:.3g} needs more than 4000 series terms")
+    ser = build(kernel_series_degree(r, zmax))
     vals = evaluate(ser, z)
     if not np.all(np.isfinite(vals)):
         raise SeriesOverflowError(f"series value at |z| <= {zmax:.3g} is not finite")

@@ -106,7 +106,7 @@ def _auto_Tmax(r: int, decay_scale: float, growth: float) -> float:
     return T
 
 
-def _ray_transform(g, kernel_at, a: float, r: int, Tmax: float, n_nodes: int,
+def _ray_transform(g, kernel_at, a: float, Tmax: float, n_nodes: int,
                    c: CyclicStructure) -> complex:
     """integral_0^inf sum_m g(omega^m t) kernel_at(m, t) t^a dt, with g and
     the kernel each evaluated once on all r rays (m an array of indices)."""
@@ -135,7 +135,7 @@ def f_r_transform(g, lam: complex, a: float = 0.0, n_nodes: int = 240,
     def kern(m, t):
         return np.exp(_per_ray(m, t, lambda k: c.theta * lam * c.omega_pow(k)) * t)
 
-    return _ray_transform(g, kern, a, c.r, Tmax, n_nodes, c)
+    return _ray_transform(g, kern, a, Tmax, n_nodes, c)
 
 
 def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
@@ -163,7 +163,7 @@ def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
     def kern(m, t):
         return evaluate(ker, _per_ray(m, t, lambda k: lam * c.omega_pow(k)) * t)
 
-    return _ray_transform(g, kern, a, c.r, Tmax, n_nodes, c)
+    return _ray_transform(g, kern, a, Tmax, n_nodes, c)
 
 
 def _kernel_Tmax(c: CyclicStructure, decay: float, lam_abs: float) -> float:

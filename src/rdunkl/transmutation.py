@@ -34,6 +34,7 @@ from .riemann_liouville import apply_R_adjoint, l_coefficient
 from .series import (
     CyclicStructure,
     LaurentSeries,
+    _window,
     differentiate,
     exp_series,
     lincomb,
@@ -62,13 +63,9 @@ class TransmutationMap:
 
         # the chain of conjugated fractional means on x^m, computed once per
         # degree: the terms below reach it only at m = n + k - j = 0 (mod r),
-        # m < N + r, so chain[m // r] holds degree m
-        chain = []
-        for m in range(0, N + r, r):
-            out = 1.0
-            for i in weight.included:
-                out *= l_coefficient(m + r - i - 1, mu.alphas[i] + i / r, r)
-            chain.append(out)
+        # m < N + r, so chain[m // r] holds degree m (as Python floats, for
+        # the scalar loop below)
+        chain = fractional_mean_chain(weight, range(0, N + r, r)).tolist()
 
         c_norm = weight.c_norm
         terms = v_terms(mu)
@@ -81,18 +78,10 @@ class TransmutationMap:
         self.matrix = M
         self.c_norm = c_norm
 
-    def _columns(self, f: LaurentSeries) -> np.ndarray:
-        """Coefficients of f over the input degrees 0..N."""
-        vec = np.zeros(self.N + 1, dtype=complex)
-        lo, hi = max(f.n_min, 0), min(f.n_max, self.N)
-        if hi >= lo:
-            vec[lo : hi + 1] = f.coeffs[lo - f.n_min : hi - f.n_min + 1]
-        return vec
-
     def apply(self, f: LaurentSeries) -> LaurentSeries:
         if f.n_min < 0 and f.has_principal_part(1e-300):
             raise DomainError("V acts on series without a principal part")
-        out = self.matrix @ self._columns(f)
+        out = self.matrix @ _window(f, 0, self.N)
         # rows near the top miss contributions from truncated columns
         valid = min(f.valid_order, self.N) - (self.mu.r - 1)
         return LaurentSeries(self.row_min, out, valid)
@@ -103,7 +92,7 @@ class TransmutationMap:
             raise DomainError("the inverse needs a series without principal part")
         if self.row_min < 0:
             raise ParameterError("triangular inverse requires alpha_0 = 0")
-        rhs = self._columns(f)
+        rhs = _window(f, 0, self.N)
         g = np.zeros(self.N + 1, dtype=complex)
         r = self.mu.r
         for m in range(self.N, -1, -1):
@@ -116,6 +105,19 @@ class TransmutationMap:
             g[m] = acc / diag
         valid = min(f.valid_order, self.N) - (r - 1)
         return LaurentSeries(0, g, valid)
+
+
+def fractional_mean_chain(weight: MehlerWeight, degrees) -> np.ndarray:
+    """Factor of the chain of conjugated fractional means on x^m for each m
+    of ``degrees``: the product over the included dimensions i of
+    l_(m + r - i - 1) at order beta_i = alpha_i + i/r, the grade-0 diagonal
+    of V before the normalization c_mu."""
+    mu, r = weight.mu, weight.mu.r
+    out = np.ones(len(degrees))
+    for i in weight.included:
+        beta = mu.alphas[i] + i / r
+        out *= [l_coefficient(int(m) + r - i - 1, beta, r) for m in degrees]
+    return out
 
 
 def build_V(mu: IndexVector, N: int) -> TransmutationMap:

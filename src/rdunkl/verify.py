@@ -53,6 +53,7 @@ from .series import (
     monomial,
     project_T,
     series_residual,
+    shifted,
 )
 from .special import IndexVector, bessel_j_series, bessel_j_value, cos_r_series
 
@@ -94,7 +95,7 @@ def suite_eigen(r, seed, nodes, degree):
             E = dunkl_kernel_series(mu, lam, degree)
             resid = series_residual(
                 apply_D(mu, E),
-                LaurentSeries(E.n_min, c.theta * lam * E.coeffs, E.valid_order - 1),
+                shifted(E, c.theta * lam * E.coeffs),
             )
             worst = max(worst, resid)
     out.append(make_report("eigen.kernel_equation", {"r": r, "draws": 6, "degree": degree},

@@ -8,7 +8,9 @@ import pytest
 
 import rdunkl.transmutation as transmutation
 from rdunkl.cli import _certified_series_values, _fmt, main
+from rdunkl.mehler import MehlerWeight
 from rdunkl.operators import dunkl_kernel_series
+from rdunkl.riemann_liouville import product_factorization_check
 from rdunkl.series import LaurentSeries, evaluate
 from rdunkl.special import IndexVector, bessel_j_series
 
@@ -189,6 +191,22 @@ VERIFY_GOLDEN = [
     ("rl", "5", "961760d6a676c2ae4e8690c67114877ad4f1437ba9368c26273e10ca1f969617"),
     ("transform", "2", "8f4670ae92e50542d6c095ae2309fb5de33f8e6ea9e4083f8dea6565fddcdb48"),
     ("transform", "3", "18b132b0935998370d53c4179470f9e2231cbc36100f5eb574744158915b1d5c"),
+    ("eigen", "2", "5447662a5f5c9d55cf9ea82d2738705267d3581a2520c4daa782ada2f163ef55"),
+    ("eigen", "3", "c9296fe9c64d333fa347018c44f62c3a7ae874bd16d240a6262be710f1169817"),
+    ("eigen", "4", "97432cb392faa21efb26ce97066240b42dfabcb350337cc46cc41ca530ac9a95"),
+    ("eigen", "5", "6ef73a431445605f677b4f80e4cddb90029417e1a38513252c4dc4ea39c20ad1"),
+    ("power", "2", "980a7137033dc4888e5644543286573bfcbf1cd2129db637d709077d71f15f4d"),
+    ("power", "3", "718b985efcf60b78a2d915b4820bcb3c96e3655c8d53c517bcbdbbc1ae0065eb"),
+    ("power", "4", "bac9b7b5463f640f9ed2187cf6d86684bdc909669f1b1ac9a44f42c26145b5d9"),
+    ("power", "5", "33971910f63ab788e8ea27740da1e36a45ae40e95492fc4e6f1c419939e59dda"),
+    ("transmutation", "2", "70af9d845e5da72b8973fce7cec3cbfc8736185ed044af99100051d928b3ef13"),
+    ("transmutation", "3", "2a128cdc93a5c7ff5aa0aa69b72eaf75c1fcaa4d4080ca5b82281ba674b3d09c"),
+    ("transmutation", "4", "5c85a5b96e7890c62c347899103dfa65f334f86d7dab50b2d900f2692203e628"),
+    ("transmutation", "5", "e5e1321302e5372a38ce79dcb3575abc9ac6a1729d419caaa4a64781e43f9db1"),
+    ("dunkl-opdam", "2", "47712c89ab1ac34bcc65274f4209a44041f98c2b8815e309143738eebcf308c9"),
+    ("dunkl-opdam", "3", "58a02bf09649435c18bd107f4f5afc65c565378ae6c371d655bee5e3855e213b"),
+    ("dunkl-opdam", "4", "bfc9107b472357db6d3f3174b004a108a901cb3f7fc5708c3b30f0335c4489e1"),
+    ("dunkl-opdam", "5", "2b786015a88d513ba6da397c5d4bc6030af5ccdc65773a07405175b1de15a5ad"),
 ]
 
 
@@ -217,6 +235,34 @@ def test_chain_factors_computed_once_per_degree(monkeypatch):
     assert calls and len(calls) == len(set(calls))
     # the chain is reached only at degrees 0 (mod r) below N + r
     assert len(calls) <= len(range(0, N + mu.r, mu.r)) * mu.r
+
+
+def test_product_factorization_reads_the_transmutation_chain(monkeypatch):
+    # the grade-0 diagonal of V and the left side of the product factorization
+    # are the same chain of fractional means, computed in one place
+    calls = []
+    real = transmutation.l_coefficient
+
+    def counting(n, alpha, r):
+        calls.append((n, alpha))
+        return real(n, alpha, r)
+
+    monkeypatch.setattr(transmutation, "l_coefficient", counting)
+    mu = IndexVector(3, (0.0, 0.5666666666666667, -0.6666666666666666))
+    assert product_factorization_check(mu, 30).passed
+    assert calls
+
+
+@pytest.mark.parametrize("alphas", [(0.0, 0.5), (0.0, 0.5666666666666667, -0.6666666666666666),
+                                    (0.0, 0.75, 0.5, 0.25), (0.3, 0.2, 0.9)])
+def test_fractional_mean_chain_is_the_grade0_diagonal_of_V(alphas):
+    mu = IndexVector(len(alphas), alphas)
+    r, N = mu.r, 40
+    V = transmutation.build_V(mu, N)
+    weight = MehlerWeight(mu)
+    n = np.arange(0, N + 1, r)
+    chain = transmutation.fractional_mean_chain(weight, n)
+    assert np.array_equal(V.matrix[n - V.row_min, n], V.c_norm * chain)
 
 
 @pytest.mark.parametrize("kind, alphas", [

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from rdunkl._errors import ParameterError
-from rdunkl.quadrature import _jacobi_reference, gauss_jacobi_rule, gauss_legendre_rule
+from rdunkl.quadrature import (_golub_welsch, _jacobi_reference, gauss_jacobi_rule,
+                               gauss_legendre_rule)
 
 JACOBI_KEYS = [(0.0, 0.0, 1), (0.0, 0.5, 16), (-0.4, 1.7, 48), (2.3, -0.9, 200)]
 LEGENDRE_CASES = [(1, 0.0, 1.0), (12, -1.0, 1.0), (48, 2.0, 8.0), (400, 0.0, 60.0)]
@@ -105,3 +106,15 @@ def test_invalid_parameters_raise_every_time(call):
     for _ in range(2):  # errors are never cached
         with pytest.raises(ParameterError):
             call()
+
+
+@pytest.mark.parametrize("n", [5, 48, 96, 192])
+def test_golub_welsch_from_the_lower_triangle_equals_the_full_matrix(n):
+    # eigh reads only the lower triangle; the Jacobi rules and the Mehler
+    # product rule build only that
+    rng = np.random.default_rng(n)
+    diag, off = rng.standard_normal(n), rng.random(n - 1) + 0.1
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x, w = _golub_welsch(diag, off, 2.5)
+    assert np.array_equal(x, nodes)
+    assert np.array_equal(w, 2.5 * vecs[0] ** 2)

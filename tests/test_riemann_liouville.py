@@ -172,6 +172,21 @@ def test_inverse_series_names_the_degree_whose_factor_vanishes():
         apply_R_inverse_series(1 / 3, LaurentSeries(-2, [0.0]), 3)
 
 
+def test_series_operators_accept_a_zero_principal_part():
+    # differentiating a polynomial stores a zero coefficient at degree -1,
+    # where Gamma((n+1)/r) in l_n has its pole
+    f = rd.differentiate(LaurentSeries(0, [2, 3, 1]))
+    assert f.n_min == -1 and f[-1] == 0.0
+    trimmed = LaurentSeries(0, f.coeffs[1:])
+    for op in (apply_R_series, apply_R_inverse_series):
+        got, want = op(0.7, f, 3), op(0.7, trimmed, 3)
+        assert (got.n_min, got.valid_order) == (f.n_min, f.valid_order)
+        assert got[-1] == 0.0
+        assert all(got[n] == want[n] for n in range(0, f.n_max + 1))
+    back = apply_R_inverse_series(0.7, apply_R_series(0.7, f, 3), 3)
+    assert rd.series_residual(back, f) < 1e-15 and back[-1] == 0.0
+
+
 def test_inverse_series_refuses_a_vanishing_factor_under_optimization():
     # python -O strips assert statements; the refusal must not depend on one
     code = ("from rdunkl._errors import SingularError\n"

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import rdunkl as rd
 from rdunkl._errors import DomainError, ParameterError
-from rdunkl.series import add, zero_series
+from rdunkl.dunkl_opdam import KappaVector, apply_T_kappa
+from rdunkl.riemann_liouville import apply_R_inverse_series, apply_R_series
+from rdunkl.series import add, lincomb, shifted, zero_series
 
 
 def random_series(rng, n_min=-3, n_max=25):
@@ -238,3 +240,65 @@ def test_omega_pow_equals_its_expression_bit_for_bit():
             got = c.omega_pow(k)
             assert type(got) is complex
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+# -- the shift rule: every weighted shift or diagonal moves n_min, the
+# watermark and the grade tag the same way (series.shifted) -----------------
+
+_C3 = rd.CyclicStructure(3)
+_MU3 = rd.IndexVector(3, (0.0, 0.5666666666666667, -0.6666666666666666))
+
+#: (name, operator, degree shift)
+SHIFT_OPERATORS = [
+    ("s_action", lambda f: rd.s_action(f, 1, _C3), 0),
+    ("differentiate", rd.differentiate, -1),
+    ("mul_x_power+2", lambda f: rd.mul_x_power(f, 2), 2),
+    ("mul_x_power-1", lambda f: rd.mul_x_power(f, -1), -1),
+    ("scale_argument", lambda f: rd.scale_argument(f, 0.7 + 0.2j), 0),
+    ("lincomb", lambda f: lincomb([(2.5 - 1j, f)]), 0),
+    ("apply_L", lambda f: rd.apply_L(f, 0.4), -1),
+    ("apply_D", lambda f: rd.apply_D(_MU3, f), -1),
+    ("apply_R_series", lambda f: apply_R_series(0.7, f, 3), 0),
+    ("apply_R_inverse_series", lambda f: apply_R_inverse_series(0.7, f, 3), 0),
+    ("apply_T_kappa", lambda f: apply_T_kappa(KappaVector(3, (0.3, -0.2j)), f, _C3), -1),
+]
+
+
+@pytest.mark.parametrize("tag", [None, 0, 1, 2])
+@pytest.mark.parametrize("op, by", [(op, by) for _, op, by in SHIFT_OPERATORS],
+                         ids=[name for name, _, _ in SHIFT_OPERATORS])
+def test_operators_follow_the_shift_rule(op, by, tag):
+    rng = np.random.default_rng(7)
+    f = rd.LaurentSeries(0, rng.standard_normal(13) + 1j * rng.standard_normal(13), 10)
+    if tag is not None:
+        f = rd.project_T(f, tag, _C3)
+    out = op(f)
+    assert (out.n_min, out.n_max, out.valid_order) == (f.n_min + by, f.n_max + by,
+                                                       f.valid_order + by)
+    if tag is None:
+        assert out.grade is None
+    else:
+        assert (out.grade, out.r) == ((tag - by) % 3, 3)
+        # the grade check accepts the result
+        rd.LaurentSeries(out.n_min, out.coeffs, out.valid_order, out.grade, out.r)
+
+
+def test_T_kappa_carries_the_grade_tag_like_the_dunkl_operator():
+    f = rd.project_T(rd.LaurentSeries(0, np.arange(1.0, 13.0)), 1, _C3)
+    out = apply_T_kappa(KappaVector(3, (0.3, -0.2j)), f, _C3)
+    assert out.grade == rd.apply_D(_MU3, f).grade == 2
+
+
+def test_shifted_moves_degrees_watermark_and_tag_together():
+    f = rd.project_T(rd.LaurentSeries(-2, np.ones(9), 4), 2, _C3)
+    g = shifted(f, 3.0 * f.coeffs, -4)
+    assert (g.n_min, g.valid_order, g.grade, g.r) == (-6, 0, 0, 3)
+    assert np.array_equal(g.coeffs, 3.0 * f.coeffs)
+    h = shifted(rd.LaurentSeries(1, np.ones(4)), np.zeros(4))
+    assert (h.n_min, h.valid_order, h.grade) == (1, 4, None)
+
+
+def test_degrees_is_the_integer_array_of_stored_degrees():
+    degs = rd.LaurentSeries(-3, np.ones(7)).degrees
+    assert isinstance(degs, np.ndarray) and degs.dtype.kind == "i"
+    assert degs.tolist() == [-3, -2, -1, 0, 1, 2, 3]
