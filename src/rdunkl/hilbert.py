@@ -4,27 +4,30 @@ The product is
 
     <f, g>_a = integral_0^inf sum_m f(omega^m t) conj(g(omega^m t)) t^a dt,
 
-realized concretely on the family p(x) exp(-s x^r) with p a Laurent
-polynomial: since (omega^m t)^r = t^r, the factor exp(-s t^r) decays on
-every ray, and the family is closed under d/dx, the grade projectors,
-multiplication by powers of x, and the Dunkl operator.
-
-Quadrature absorbs t^(a-1) into a Jacobi weight on [0, Tmax] so integrands
-with a single 1/t factor (from the 1/conj(x) terms of adjoints) still
-integrate at spectral accuracy.
+realized concretely on the family omega^(m tau) p(x) exp(-s x^r), p a
+Laurent polynomial and tau an integer twist: exp(-s t^r) decays on every
+ray, the untwisted members are closed under d/dx, the grade projectors,
+powers of x and the Dunkl operator, and the adjoint forms stay on the
+family with twist 2 (x/conj(x) = omega^(2m) on ray m).  The ray sum keeps
+the terms x^i of f and x^j of g with i + tau_f = j + tau_g (mod r), each a
+Gamma moment Gamma(p) (s_f + s_g)^(-p), p = (i + j + a + 1)/r; ``pairing``
+sums them exactly, so the gated ``hilbert.*`` reports are coefficient
+identities.  Quadrature (``inner_product``) stays for operands that leave
+the family, the adjoints R* and V*, and as the tests' oracle of ``pairing``.
 
 Every ray function answers for all r rays in one call: ``on_ray(m, t)``
 takes one ray index or a 1-d array of them and then returns one row per
-ray.  A family member evaluates its polynomial once on the (rays x t) grid,
-the compositions (``ray_power``, ``ray_projection``, ``ray_lincomb``, the
-adjoint map of ``apply_D_star``) produce all rays from one evaluation of
-their inputs, and the product sums over rays after reading each function
-once.  Each row equals the one-ray value bit for bit.
+ray, equal to the one-ray value bit for bit.  A family member evaluates its
+polynomial once on the (rays x t) grid, and the compositions (``ray_power``,
+``ray_projection``, ``ray_lincomb``) and the quadrature product read each
+input once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -123,7 +126,7 @@ def ray_lincomb(terms, scale: float = 1.0) -> RayMap:
 
 @dataclass(frozen=True)
 class RayTestFunction:
-    """Laurent polynomial ``poly`` times exp(-decay_scale * x^r).
+    """Laurent polynomial ``poly`` times exp(-decay_scale * x^r) and omega^(m twist) on ray m.
 
     A polynomial is exact at every stored degree, so the watermark of
     ``poly`` is reset to its top degree whatever operations produced it.
@@ -132,6 +135,7 @@ class RayTestFunction:
     c: CyclicStructure
     poly: LaurentSeries
     decay_scale: float = 1.0
+    twist: int = 0
 
     def __post_init__(self):
         if self.decay_scale <= 0:
@@ -144,11 +148,21 @@ class RayTestFunction:
         one evaluation of the polynomial and of the decay factor."""
         t = np.asarray(t, dtype=float)
         z = _per_ray(m, t, self.c.omega_pow) * t
-        return evaluate(self.poly, z) * np.exp(-self.decay_scale * t ** self.c.r)
+        vals = evaluate(self.poly, z) * np.exp(-self.decay_scale * t ** self.c.r)
+        if self.twist:
+            vals = _per_ray(m, t, lambda k: self.c.omega_pow(k * self.twist)) * vals
+        return vals
 
 
 def ray_poly(c: CyclicStructure, coeffs, d_min: int = 0, decay_scale: float = 1.0) -> RayTestFunction:
     return RayTestFunction(c, LaurentSeries(d_min, coeffs), decay_scale)
+
+
+def _image(f: RayTestFunction, poly: LaurentSeries) -> RayTestFunction:
+    """poly exp(-s x^r) from a family operator acting on p alone: f must be untwisted."""
+    if f.twist:
+        raise ParameterError(f"family operators take untwisted members, got twist {f.twist}")
+    return RayTestFunction(f.c, poly, f.decay_scale)
 
 
 def _with_decay_term(f: RayTestFunction, dp: LaurentSeries) -> RayTestFunction:
@@ -158,7 +172,7 @@ def _with_decay_term(f: RayTestFunction, dp: LaurentSeries) -> RayTestFunction:
     -s r x^(r-1) p from differentiating it."""
     r, s = f.c.r, f.decay_scale
     decay = shifted(f.poly, -(s * r) * f.poly.coeffs, r - 1)
-    return RayTestFunction(f.c, add(dp, decay), s)
+    return _image(f, add(dp, decay))
 
 
 def ray_ddx(f: RayTestFunction) -> RayTestFunction:
@@ -167,11 +181,11 @@ def ray_ddx(f: RayTestFunction) -> RayTestFunction:
 
 
 def ray_mul_power(f: RayTestFunction, p: int) -> RayTestFunction:
-    return RayTestFunction(f.c, mul_x_power(f.poly, p), f.decay_scale)
+    return _image(f, mul_x_power(f.poly, p))
 
 
 def ray_project(f: RayTestFunction, k: int) -> RayTestFunction:
-    return RayTestFunction(f.c, project_T(f.poly, k, f.c), f.decay_scale)
+    return _image(f, project_T(f.poly, k, f.c))
 
 
 def ray_dunkl(mu: IndexVector, f: RayTestFunction) -> RayTestFunction:
@@ -189,11 +203,12 @@ class WeightedInnerProduct:
     negligible tail beyond Tmax.
     """
 
+    n_nodes: ClassVar[int] = 200
+    max_degree: ClassVar[int] = 24
+
     a: float
     r: int
     Tmax: float = None  # type: ignore[assignment]
-    n_nodes: int = 200
-    max_degree: int = 24
     min_decay_scale: float = 1.0
     nodes: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
@@ -201,23 +216,19 @@ class WeightedInnerProduct:
     def __post_init__(self):
         if self.a <= 0:
             raise ParameterError("the weight exponent a must be positive")
+
+        def tail(T):
+            return T ** (self.max_degree + self.a) * np.exp(
+                -2.0 * self.min_decay_scale * T ** self.r)
+
         if self.Tmax is None:
             T = (38.0 / (2.0 * self.min_decay_scale)) ** (1.0 / self.r)
-            while (
-                T ** (self.max_degree + self.a)
-                * np.exp(-2.0 * self.min_decay_scale * T ** self.r)
-                > 1e-15
-            ):
+            while tail(T) > 1e-15:
                 T += 0.25
             object.__setattr__(self, "Tmax", float(T))
-        tail = (
-            self.Tmax ** (self.max_degree + self.a)
-            * np.exp(-2.0 * self.min_decay_scale * self.Tmax ** self.r)
-        )
-        if tail > 1e-14:
-            raise ParameterError(
-                f"Tmax={self.Tmax} cannot certify the truncation tail ({tail:.2e})"
-            )
+        if tail(self.Tmax) > 1e-14:
+            raise ParameterError(f"Tmax={self.Tmax} cannot certify the truncation tail "
+                                 f"({tail(self.Tmax):.2e})")
         rule = gauss_jacobi_rule(0.0, self.a - 1.0, self.n_nodes)
         object.__setattr__(self, "nodes", self.Tmax * rule.nodes)
         object.__setattr__(self, "weights", self.Tmax ** self.a * rule.weights)
@@ -251,59 +262,76 @@ def inner_product_plain(f, g, a: float, Tmax: float, n_nodes: int,
     return complex(np.sum(rule.weights * t ** a * _ray_sum(f, g, t, c)))
 
 
-def apply_D_star(mu: IndexVector, a: float, f) -> RayMap:
+def _gamma_moments(i, u, j, v, phase, a: float, r: int, s: float, log_weight=0.0):
+    """log_weight + log Gamma(p) - p log s, p = (i + j + a + 1)/r, on the
+    pairs of terms u_i x^i (rows) and v_j x^j (columns) that survive the ray
+    sum, -inf on the rest.  A pair survives when u_i v_j != 0 and its ray
+    phase is 0 (mod r); the r rays then give Gamma(p) s^(-p), which diverges,
+    and is refused, where p <= 0."""
+    if not math.isfinite(a):
+        raise ParameterError(f"the weight exponent a must be finite, got {a}")
+    p = (i[:, None] + j + a + 1.0) / r
+    kept = (phase % r == 0) & (u[:, None] != 0) & (v != 0)
+    if np.any(kept & (p <= 0)):
+        raise ParameterError("the ray integral diverges at the origin for this input")
+    log_gamma = np.zeros(p.shape)
+    try:
+        log_gamma[kept] = [math.lgamma(x) for x in p[kept].tolist()]
+    except OverflowError:  # an overflowing log-Gamma overflows every moment
+        log_gamma[:] = np.inf
+    return np.where(kept, log_weight + log_gamma - p * np.log(s), -np.inf)
+
+
+def pairing(f: RayTestFunction, g: RayTestFunction, a: float) -> complex:
+    """<f, g>_a on the family, conjugate-linear in g: the sum of
+    c_i conj(d_j) Gamma(p) (s_f + s_g)^(-p), p = (i + j + a + 1)/r, over the
+    terms c_i x^i of f and d_j x^j of g with i + tau_f = j + tau_g (mod r)."""
+    c, d = f.poly.coeffs, np.conj(g.poly.coeffs)
+    i, j = f.poly.degrees, g.poly.degrees
+    log_moments = _gamma_moments(i, c, j, d, (i + f.twist)[:, None] - (j + g.twist), a,
+                                 f.c.r, f.decay_scale + g.decay_scale)
+    return complex(c @ np.exp(log_moments) @ d)
+
+
+def apply_D_star(mu: IndexVector, a: float, f) -> RayTestFunction:
     """Adjoint of the Dunkl operator for <.,.>_a:
 
         D* g = -( (x/conj(x)) g' + (1/conj(x)) sum_k (a - a_k) T_{k+1} g ),
 
-    with 1/conj(x) read on the ray omega^m t as omega^m / t and the twist
-    x/conj(x) as omega^(2m).  The twist is what per-ray integration by parts
-    actually produces; it is invisible for r = 2, where the rays are real.
-    (``integration_by_parts_check`` measures the untwisted rule, which fails
-    for r >= 3.)
+    with x/conj(x) = omega^(2m) and 1/conj(x) = omega^(2m)/x on ray m: the
+    family member -[g' + x^(-1) sum_k (a - a_k) T_{k+1} g] with twist 2,
+    where T_{k+1} keeps the degrees n = -(k+1) (mod r).  The twist is what
+    per-ray integration by parts actually produces; it is invisible for
+    r = 2, where the rays are real.  (``integration_by_parts_check``
+    measures the untwisted rule, which fails for r >= 3.)
     """
-    c = CyclicStructure(mu.r)
-    r = mu.r
-    if not isinstance(f, RayTestFunction):
-        raise ParameterError("D* needs a ray test function")
-    fprime = ray_ddx(f)
-    projections = [ray_project(f, (k + 1) % r) for k in range(r)]
-
-    def fn(m, t):
-        acc = _per_ray(m, t, lambda k: c.omega_pow(k) ** 2) * fprime.on_ray(m, t).astype(complex)
-        w = _per_ray(m, t, c.omega_pow) / t
-        for k in range(r):
-            coef = a - mu.a[k]
-            if coef != 0.0:
-                acc = acc + coef * w * projections[k].on_ray(m, t)
-        return -acc
-
-    return _AllRayMap(fn)
+    degs = f.poly.degrees
+    weights = degs + a - np.asarray(mu.a)[(-degs - 1) % mu.r]
+    bracket = _with_decay_term(f, shifted(f.poly, f.poly.coeffs * weights, -1)).poly
+    return RayTestFunction(f.c, shifted(bracket, -bracket.coeffs), f.decay_scale, twist=2)
 
 
-def projector_symmetry_check(i: int, ip: WeightedInnerProduct, c: CyclicStructure,
-                             rng) -> VerificationReport:
+def projector_symmetry_check(i: int, a: float, c: CyclicStructure, rng) -> VerificationReport:
     """|<f, T_i g> - <T_i f, g>| over random family pairs, plus the
     cross-grade orthogonality |<T_i f, T_j g>| for j != i."""
     worst = 0.0
     for _ in range(4):
         f = _random_test_function(c, rng)
         g = _random_test_function(c, rng)
-        lhs = inner_product(f, ray_project(g, i), ip, c)
-        rhs = inner_product(ray_project(f, i), g, ip, c)
+        lhs = pairing(f, ray_project(g, i), a)
+        rhs = pairing(ray_project(f, i), g, a)
         worst = max(worst, abs(lhs - rhs))
         j = (i + 1) % c.r
-        worst = max(worst, abs(inner_product(ray_project(f, i), ray_project(g, j), ip, c)))
+        worst = max(worst, abs(pairing(ray_project(f, i), ray_project(g, j), a)))
     return make_report(
         check_id=f"hilbert.projector_symmetry.T{i}",
-        params={"r": c.r, "a": ip.a, "i": i},
+        params={"r": c.r, "a": a, "i": i},
         residual=worst,
         tolerance=1e-9,
     )
 
 
-def integration_by_parts_check(f: RayTestFunction, g: RayTestFunction,
-                               ip: WeightedInnerProduct, c: CyclicStructure,
+def integration_by_parts_check(f: RayTestFunction, g: RayTestFunction, a: float,
                                ray_twist: bool = True) -> VerificationReport:
     """<f', g>_a + <f, (x/conj(x)) g' + (a/conj(x)) g>_a should vanish.
 
@@ -312,56 +340,45 @@ def integration_by_parts_check(f: RayTestFunction, g: RayTestFunction,
     With ray_twist=False the untwisted textbook form is measured instead;
     it only balances on real rays, i.e. for r = 2.
     """
-    lhs = inner_product(ray_ddx(f), g, ip, c)
-
-    gprime = ray_ddx(g)
-
-    def rhs_fn(m, t):
-        twist = _per_ray(m, t, lambda k: c.omega_pow(k) ** 2) if ray_twist else 1.0
-        return (twist * gprime.on_ray(m, t)
-                + (_per_ray(m, t, lambda k: ip.a * c.omega_pow(k)) / t) * g.on_ray(m, t))
-
-    rhs = inner_product(f, _AllRayMap(rhs_fn), ip, c)
+    lhs = pairing(ray_ddx(f), g, a)
+    # on ray m, x/conj(x) = omega^(2m) and a/conj(x) = a omega^(2m)/x: twist 2
+    rhs = (pairing(f, replace(ray_ddx(g), twist=2 if ray_twist else 0), a)
+           + a * pairing(f, replace(ray_mul_power(g, -1), twist=2), a))
     scale = max(abs(lhs), abs(rhs), 1.0)
     return make_report(
         check_id="hilbert.integration_by_parts",
-        params={"r": c.r, "a": ip.a, "ray_twist": ray_twist},
+        params={"r": f.c.r, "a": a, "ray_twist": ray_twist},
         residual=abs(lhs + rhs) / scale,
         tolerance=1e-8,
         kind="residual-below" if ray_twist else "measured",
     )
 
 
-def dunkl_adjoint_residual(mu: IndexVector, ip: WeightedInnerProduct,
+def dunkl_adjoint_residual(mu: IndexVector, a: float,
                            f: RayTestFunction, g: RayTestFunction) -> float:
     """|<D f, g>_a - <f, D* g>_a| normalized by the magnitudes involved."""
-    c = CyclicStructure(mu.r)
-    lhs = inner_product(ray_dunkl(mu, f), g, ip, c)
-    rhs = inner_product(f, apply_D_star(mu, ip.a, g), ip, c)
+    lhs = pairing(ray_dunkl(mu, f), g, a)
+    rhs = pairing(f, apply_D_star(mu, a, g), a)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def dunkl_antisymmetry_residual(mu: IndexVector, ip: WeightedInnerProduct,
+def dunkl_antisymmetry_residual(mu: IndexVector, a: float,
                                 f: RayTestFunction, g: RayTestFunction) -> float:
     """|<D f, g>_a + <f, D g>_a|; vanishes exactly when D* = -D."""
-    c = CyclicStructure(mu.r)
-    lhs = inner_product(ray_dunkl(mu, f), g, ip, c)
-    rhs = inner_product(f, ray_dunkl(mu, g), ip, c)
+    lhs = pairing(ray_dunkl(mu, f), g, a)
+    rhs = pairing(f, ray_dunkl(mu, g), a)
     return abs(lhs + rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
 def multiplication_adjoint_residuals(f: RayTestFunction, g: RayTestFunction,
-                                     ip: WeightedInnerProduct, c: CyclicStructure) -> tuple[float, float]:
-    """Residuals of <f, (1/x) g> = <(1/conj(x)) f, g> and <f, x g> = <conj(x) f, g>."""
-    r1 = abs(
-        inner_product(f, ray_mul_power(g, -1), ip, c)
-        - inner_product(ray_power(f, -1, c, conjugate=True), g, ip, c)
-    )
-    r2 = abs(
-        inner_product(f, ray_mul_power(g, 1), ip, c)
-        - inner_product(ray_power(f, 1, c, conjugate=True), g, ip, c)
-    )
-    return r1, r2
+                                     a: float) -> tuple[float, float]:
+    """Residuals of <f, (1/x) g> = <(1/conj(x)) f, g> and <f, x g> = <conj(x) f, g>.
+
+    On the ray omega^m t, conj(x)^p = omega^(-2mp) x^p: the member x^p f with
+    twist -2p."""
+    return tuple(abs(pairing(f, ray_mul_power(g, p), a)
+                     - pairing(replace(ray_mul_power(f, p), twist=-2 * p), g, a))
+                 for p in (-1, 1))
 
 
 def _random_test_function(c: CyclicStructure, rng) -> RayTestFunction:

@@ -25,7 +25,6 @@ grid.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -35,7 +34,7 @@ from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .reports import KIND_MEASURED, VerificationReport, make_report
 from .series import CyclicStructure, evaluate, kernel_log_peak, kernel_series_degree
 from .special import IndexVector
-from .hilbert import RayMap, RayTestFunction, _per_ray, ray_dunkl
+from .hilbert import RayMap, RayTestFunction, _gamma_moments, _per_ray, ray_dunkl
 from .operators import dunkl_kernel_series
 from .riemann_liouville import apply_R_adjoint
 from .transmutation import build_V_star
@@ -176,11 +175,11 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
     """r-Dunkl transform of g = sum_d c_d x^d exp(-s x^r) on a lam grid, by
     the exact moment series
 
-        F_mu g(lam) = sum_{d + n = 0 (mod r)} c_d e_n lam^n
+        F_mu g(lam) = sum_{d + tau + n = 0 (mod r)} c_d e_n lam^n
                       Gamma((d+n+a+1)/r) s^(-(d+n+a+1)/r),
 
-    where e_n are the coefficients of E_mu: the ray sum keeps the degrees
-    d + n = 0 (mod r) with weight r, and each ray integral is a Gamma moment.
+    where e_n are the coefficients of E_mu and tau the twist of g: the
+    bilinear form of ``hilbert.pairing``'s Gamma moments.
     The series is built once, at the degree dunkl_transform_F uses for
     max |lam|, and summed by one Horner pass over the grid that stops at
     the degree n* where the rest of the series, at max |lam|, falls to
@@ -213,13 +212,10 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
 
 def _moment_coefficients(mu: IndexVector, a: float, g: RayTestFunction,
                          lam_abs: float) -> np.ndarray:
-    """coef_n = e_n sum_{d + n = 0 (mod r)} c_d Gamma((d+n+a+1)/r)
-    s^(-(d+n+a+1)/r) for n = 0..N, N the kernel degree dunkl_transform_F
-    uses at |lam| = lam_abs."""
+    """The coefficients coef_n of ``moment_transform``'s series for
+    n = 0..N, N the kernel degree dunkl_transform_F uses at |lam| = lam_abs."""
     if abs(mu.alphas[0]) > 1e-12:
         raise ParameterError("the transform kernel needs alpha_0 = 0")
-    if not math.isfinite(a):
-        raise ParameterError(f"the weight exponent a must be finite, got {a}")
     if a < 0:
         raise ParameterError("the weight exponent must satisfy a >= 0")
     c, r, s = mu.cyclic, mu.r, g.decay_scale
@@ -227,21 +223,12 @@ def _moment_coefficients(mu: IndexVector, a: float, g: RayTestFunction,
         r, lam_abs * _kernel_Tmax(c, s, lam_abs)))
     e = ker.coeffs[-ker.n_min:]  # e_0..e_N
     n = np.arange(len(e))
-    gc = g.poly.coeffs
-    d = g.poly.n_min + np.arange(len(gc))
-    p = (d[:, None] + n + a + 1.0) / r
-    paired = ((d[:, None] + n) % r == 0) & (gc[:, None] != 0) & (e != 0)
-    if np.any(paired & (p <= 0)):
-        raise ParameterError("the transform integral diverges at the origin for this input")
+    gc, d = g.poly.coeffs, g.poly.degrees
     # |e_n| Gamma(p) s^(-p) in logs: Gamma overflows where e_n underflows
-    log_gamma = np.zeros(p.shape)
-    try:
-        log_gamma[paired] = [math.lgamma(x) for x in p[paired].tolist()]
-    except OverflowError:  # an overflowing log-Gamma overflows every moment
-        log_gamma[:] = np.inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_mag = np.log(np.abs(e)) + log_gamma - p * np.log(s)
-        coef = np.exp(1j * np.angle(e)) * (gc @ np.exp(np.where(paired, log_mag, -np.inf)))
+        log_mag = _gamma_moments(d, gc, n, e, d[:, None] + n + g.twist, a, r, s,
+                                 np.log(np.abs(e)))
+        coef = np.exp(1j * np.angle(e)) * (gc @ np.exp(log_mag))
     if not np.all(np.isfinite(coef)):
         raise ParameterError(f"the Gamma moments of the transform overflow at the "
                              f"weight exponent a = {a:g}")

@@ -290,7 +290,7 @@ def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, conjugate: bool =
         for i in reversed(weight.included):
             beta = mu.alphas[i] + i / r
             p = r - i - 1
-            stepped = _ray_r_star(ray_power(out, -p, c, conjugate), beta, a, r, c, n_nodes, 8.0)
+            stepped = _ray_r_star(ray_power(out, -p, c, conjugate), beta, a, r, n_nodes, 8.0)
             out = ray_power(stepped, p, c, conjugate)
         return out
 
@@ -306,8 +306,8 @@ def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, conjugate: bool =
     return apply
 
 
-def _ray_r_star(g, beta: float, a: float, r: int, c: CyclicStructure,
-                n_nodes: int, Tmax: float) -> RayMap:
+def _ray_r_star(g, beta: float, a: float, r: int, n_nodes: int,
+                Tmax: float) -> RayMap:
     """R*_beta applied along each ray to a ray evaluator."""
 
     def fn(m, t):

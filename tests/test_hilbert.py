@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +8,7 @@ from scipy.integrate import quad
 import rdunkl as rd
 from rdunkl._errors import ParameterError
 from rdunkl.hilbert import (
+    RayMap,
     WeightedInnerProduct,
     apply_D_star,
     dunkl_adjoint_residual,
@@ -13,6 +17,7 @@ from rdunkl.hilbert import (
     inner_product_plain,
     integration_by_parts_check,
     multiplication_adjoint_residuals,
+    pairing,
     projector_symmetry_check,
     ray_ddx,
     ray_dunkl,
@@ -73,39 +78,34 @@ def test_tail_certification():
 @pytest.mark.parametrize("r,i", [(2, 0), (2, 1), (3, 1), (3, 2)])
 def test_projector_symmetry_and_orthogonality(r, i):
     c = CyclicStructure(r)
-    ip = WeightedInnerProduct(a=2.7, r=r)
-    rep = projector_symmetry_check(i, ip, c, np.random.default_rng(5))
+    rep = projector_symmetry_check(i, 2.7, c, np.random.default_rng(5))
     assert rep.passed and rep.residual < 1e-9
 
 
 @pytest.mark.parametrize("r,a", [(2, 1.4), (3, 2.1), (4, 1.9)])
 def test_integration_by_parts(r, a):
     c = CyclicStructure(r)
-    ip = WeightedInnerProduct(a=a, r=r)
     f = ray_poly(c, [0, 0, 1.0])
     g = ray_poly(c, [0, 1.0])
-    rep = integration_by_parts_check(f, g, ip, c)
+    rep = integration_by_parts_check(f, g, a)
     assert rep.passed and rep.residual < 1e-8
 
 
 def test_integration_by_parts_constant_pair():
     c = CyclicStructure(3)
-    ip = WeightedInnerProduct(a=2.1, r=3)
     f = ray_poly(c, [1.0])
-    rep = integration_by_parts_check(f, f, ip, c)
+    rep = integration_by_parts_check(f, f, 2.1)
     assert rep.residual < 1e-8
 
 
 def test_untwisted_rule_breaks_off_real_rays():
     # dropping the x/conj(x) factor only balances for r = 2
     c2 = CyclicStructure(2)
-    ip2 = WeightedInnerProduct(a=1.8, r=2)
     f2, g2 = ray_poly(c2, [0, 0, 1.0]), ray_poly(c2, [0, 1.0])
-    assert integration_by_parts_check(f2, g2, ip2, c2, ray_twist=False).residual < 1e-8
+    assert integration_by_parts_check(f2, g2, 1.8, ray_twist=False).residual < 1e-8
     c3 = CyclicStructure(3)
-    ip3 = WeightedInnerProduct(a=2.1, r=3)
     f3, g3 = ray_poly(c3, [0, 0, 1.0]), ray_poly(c3, [0, 1.0])
-    assert integration_by_parts_check(f3, g3, ip3, c3, ray_twist=False).residual > 1e-2
+    assert integration_by_parts_check(f3, g3, 2.1, ray_twist=False).residual > 1e-2
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -117,9 +117,8 @@ def test_dunkl_adjointness_random_draws(r):
         alphas = tuple(rng.uniform(0.05, 2.0, r))
         mu = rd.IndexVector(r, alphas)
         a = float(rng.uniform(1.1, 3.0))
-        ip = WeightedInnerProduct(a=a, r=r)
         worst = max(worst, dunkl_adjoint_residual(
-            mu, ip, _random_test_function(c, rng), _random_test_function(c, rng)))
+            mu, a, _random_test_function(c, rng), _random_test_function(c, rng)))
     assert worst < 1e-8
 
 
@@ -127,9 +126,8 @@ def test_classical_antisymmetry_r2():
     alpha = 0.6
     c = CyclicStructure(2)
     mu = rd.IndexVector(2, (0.0, alpha))
-    ip = WeightedInnerProduct(a=2 * alpha + 1.0, r=2)
     rng = np.random.default_rng(9)
-    resid = dunkl_antisymmetry_residual(mu, ip, _random_test_function(c, rng),
+    resid = dunkl_antisymmetry_residual(mu, 2 * alpha + 1.0, _random_test_function(c, rng),
                                         _random_test_function(c, rng))
     assert resid < 1e-8
 
@@ -153,23 +151,21 @@ def test_r3_adjoint_claim_is_measured_nonzero():
     v = 0.9
     c = CyclicStructure(3)
     mu = rd.IndexVector(3, (0.0, v - 1 / 3, -2 / 3))
-    ip = WeightedInnerProduct(a=3 * v, r=3)
     rng = np.random.default_rng(11)
-    resid = dunkl_antisymmetry_residual(mu, ip, _random_test_function(c, rng),
+    resid = dunkl_antisymmetry_residual(mu, 3 * v, _random_test_function(c, rng),
                                         _random_test_function(c, rng))
     assert resid > 1e-3  # stays meaningfully away from zero
     # while the true adjoint pairing still closes
-    assert dunkl_adjoint_residual(mu, ip, _random_test_function(c, rng),
+    assert dunkl_adjoint_residual(mu, 3 * v, _random_test_function(c, rng),
                                   _random_test_function(c, rng)) < 1e-8
 
 
 def test_multiplication_adjoints():
     c = CyclicStructure(3)
-    ip = WeightedInnerProduct(a=2.2, r=3)
     rng = np.random.default_rng(2)
     f = _random_test_function(c, rng)
     g = _random_test_function(c, rng)
-    r1, r2 = multiplication_adjoint_residuals(f, g, ip, c)
+    r1, r2 = multiplication_adjoint_residuals(f, g, 2.2)
     assert r1 < 1e-9 and r2 < 1e-9
 
 
@@ -319,10 +315,6 @@ def test_all_ray_compositions_equal_ray_by_ray_reference(r):
                  (-0.5j, _ref_test_function(f))]
     got = ray_lincomb(terms, 0.75).on_ray(rays, RAY_T)
     assert np.array_equal(got, _stacked(_ref_lincomb(ref_terms, 0.75), r, RAY_T))
-    mu = rd.IndexVector(r, (0.0, 0.8, 1.1, 0.6, 0.9)[:r])
-    for h in (f, principal):
-        got = apply_D_star(mu, 2.3, h).on_ray(rays, RAY_T)
-        assert np.array_equal(got, _stacked(_ref_D_star(mu, 2.3, h), r, RAY_T))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -331,7 +323,7 @@ def test_inner_products_equal_ray_by_ray_sum(r):
     mu = rd.IndexVector(r, (0.0, 0.8, 1.1, 0.6, 0.9)[:r])
     ip = WeightedInnerProduct(a=2.3, r=r, min_decay_scale=0.7)
     pairs = [(f, principal, _ref_test_function(f), _ref_test_function(principal)),
-             (ray_projection(f, 1, c), apply_D_star(mu, 2.3, principal),
+             (ray_projection(f, 1, c), RayMap(_ref_D_star(mu, 2.3, principal)),
               _ref_projection(_ref_test_function(f), 1, c), _ref_D_star(mu, 2.3, principal))]
     for lhs, rhs, ref_lhs, ref_rhs in pairs:
         t = ip.nodes
@@ -341,3 +333,103 @@ def test_inner_products_equal_ray_by_ray_sum(r):
         t = rule.nodes
         want = complex(np.sum(rule.weights * t ** 2.3 * _ref_ray_sum(ref_lhs, ref_rhs, t, r)))
         assert np.array_equal(inner_product_plain(lhs, rhs, 2.3, ip.Tmax, 200, c), want)
+
+
+# -- the exact pairing against quadrature and mpmath ------------------------------
+
+def _mp_pairing(f, g, a):
+    """<f, g>_a as an mpmath sum of the Gamma moments over the pairs the ray
+    sum keeps, with the parameter arithmetic in mpf."""
+    r = f.c.r
+    with mpmath.workdps(40):
+        S = mpmath.mpf(f.decay_scale) + mpmath.mpf(g.decay_scale)
+        total = mpmath.mpc(0)
+        for i, ci in zip(f.poly.degrees, f.poly.coeffs):
+            for j, dj in zip(g.poly.degrees, g.poly.coeffs):
+                if (i + f.twist - j - g.twist) % r or ci == 0 or dj == 0:
+                    continue
+                p = (int(i) + int(j) + mpmath.mpf(a) + 1) / r
+                total += mpmath.mpc(ci) * mpmath.conj(mpmath.mpc(dj)) * mpmath.gamma(p) * S ** -p
+        return complex(total)
+
+
+def _pairing_operands(r):
+    """Pairs (f, g) covering principal parts (d_min = -2, decay 0.7), D_mu
+    images and twists 2 (D*, 1/conj(x)) and -2 (conj(x)), each with
+    min deg f + min deg g >= 0, where the quadrature oracle is spectrally
+    accurate."""
+    c, f, principal = _family(r)
+    g = _random_test_function(c, np.random.default_rng(50 + r))
+    mu = rd.IndexVector(r, (0.3, 0.8, 1.1, 0.6, 0.9)[:r])
+    g2, g3 = ray_mul_power(g, 2), ray_mul_power(g, 3)
+    return [
+        (f, g),
+        (principal, g2),
+        (ray_dunkl(mu, f), g2),
+        (ray_dunkl(mu, principal), g3),
+        (g2, apply_D_star(mu, 2.3, f)),
+        (apply_D_star(mu, 2.3, principal), g3),
+        (replace(ray_mul_power(f, 1), twist=-2), g),
+        (replace(ray_mul_power(principal, -1), twist=2), g3),
+    ]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_pairing_matches_quadrature_and_mpmath(r):
+    ip = WeightedInnerProduct(a=2.3, r=r, min_decay_scale=0.7)
+    c = CyclicStructure(r)
+    for f, g in _pairing_operands(r):
+        got = pairing(f, g, 2.3)
+        assert abs(got - inner_product(f, g, ip, c)) <= 1e-13 * abs(got)
+        assert abs(got - _mp_pairing(f, g, 2.3)) <= 1e-13 * abs(got)
+
+
+def test_pairing_refuses_a_divergent_surviving_pair():
+    c = CyclicStructure(3)
+    h = ray_poly(c, [1.0, 0.0, 0.0, 0.5], d_min=-2)
+    with pytest.raises(ParameterError):  # x^-2 x^-2 against t^0.5
+        pairing(h, h, 0.5)
+    # a stored zero at degree -2 pairs with nothing
+    assert pairing(ray_poly(c, [0.0, 0.0, 0.0, 1.0], d_min=-2), h, 0.5) != 0
+
+
+def test_family_operators_refuse_twisted_members():
+    c = CyclicStructure(3)
+    mu = rd.IndexVector(3, (0.0, 0.8, 1.1))
+    twisted = apply_D_star(mu, 2.3, ray_poly(c, [1.0, 0.5]))
+    assert twisted.twist == 2
+    for op in (ray_ddx, lambda h: ray_dunkl(mu, h), lambda h: ray_project(h, 1),
+               lambda h: ray_mul_power(h, 1), lambda h: apply_D_star(mu, 2.3, h)):
+        with pytest.raises(ParameterError):
+            op(twisted)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_family_D_star_equals_the_ray_formula(r):
+    c, f, principal = _family(r)
+    mu = rd.IndexVector(r, (0.0, 0.8, 1.1, 0.6, 0.9)[:r])
+    rays = np.arange(r)
+    for h in (f, principal):
+        want = _stacked(_ref_D_star(mu, 2.3, h), r, RAY_T)
+        got = apply_D_star(mu, 2.3, h).on_ray(rays, RAY_T)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_suite_hilbert_builds_no_gauss_rule(r, monkeypatch):
+    # every gated hilbert report is an exact coefficient identity
+    import sys
+
+    from rdunkl.verify import suite_hilbert
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("suite_hilbert built a Gauss rule")
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("rdunkl")]:
+        for name in ("gauss_jacobi_rule", "gauss_legendre_rule"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    reports = suite_hilbert(r, 0, 48, 60)
+    assert {"hilbert.dunkl_adjointness", "hilbert.integration_by_parts"} <= {
+        rep.check_id for rep in reports}
+    assert all(rep.passed for rep in reports)

@@ -260,7 +260,7 @@ def test_ray_r_star_agrees_with_adjoint_on_each_ray():
     c = CyclicStructure(3)
     g = ray_poly(c, [1.0, 0.4, 0.0, -0.2])
     beta, a = 0.9, 2.7
-    ray = _ray_r_star(g, beta, a, 3, c, 48, 8.0)
+    ray = _ray_r_star(g, beta, a, 3, 48, 8.0)
     for m in range(3):
         got = ray.on_ray(m, BASE_POINTS)
         want = np.array([apply_R_adjoint(beta, a, lambda w: g.on_ray(m, w), float(u), 3,

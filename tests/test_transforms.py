@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -423,7 +424,8 @@ def _moment_input(r, kind):
     c = CyclicStructure(r)
     if kind == "gaussian":
         return ray_poly(c, [1.0], decay_scale=0.5)
-    return ray_poly(c, [0.5, 1.0, -0.25j])
+    g = ray_poly(c, [0.5, 1.0, -0.25j])
+    return replace(g, twist=2) if kind == "twisted" else g
 
 
 def _mp_moment_series(mu, a, g, lam, N):
@@ -456,7 +458,7 @@ def _mp_moment_series(mu, a, g, lam, N):
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
-@pytest.mark.parametrize("kind", ["gaussian", "poly"])
+@pytest.mark.parametrize("kind", ["gaussian", "poly", "twisted"])
 def test_moment_transform_matches_quadrature(r, kind):
     mu = rd.IndexVector(r, MOMENT_INDICES[r])
     g = _moment_input(r, kind)

@@ -295,8 +295,8 @@ def test_v_star_closed_form_r2():
         return RayMap(lambda m, t: (np.conj(c.omega_pow(m)) * t) ** p * h.on_ray(m, t))
 
     beta = alpha + 0.5
-    t0 = _ray_r_star(project(g, 0), beta, a, 2, c, 48, 8.0)
-    t1 = xpow(_ray_r_star(xpow(project(g, 1), -1), beta, a, 2, c, 48, 8.0), 1)
+    t0 = _ray_r_star(project(g, 0), beta, a, 2, 48, 8.0)
+    t1 = xpow(_ray_r_star(xpow(project(g, 1), -1), beta, a, 2, 48, 8.0), 1)
     ts = np.linspace(0.3, 2.5, 5)
     for m in range(2):
         want = cw * (t0.on_ray(m, ts) + t1.on_ray(m, ts))
@@ -331,7 +331,7 @@ def test_v_star_closed_form_r3_with_conjugated_scalar():
         return RayMap(lambda m, t: (np.conj(c.omega_pow(m)) * t) ** p * h.on_ray(m, t))
 
     def rstar(h):
-        return _ray_r_star(h, v, a, 3, c, 48, 8.0)
+        return _ray_r_star(h, v, a, 3, 48, 8.0)
 
     t0 = xpow(rstar(xpow(project(g, 0), -1)), 1)
     t1 = xpow(rstar(xpow(project(g, 1), -2)), 2)
