@@ -89,17 +89,17 @@ def _refuse_uncertified(where: str, grid, vals, err, tol: float, what: str):
             f"{tol:g} * (1 + |value|) = {tol * (1.0 + abs(complex(vals[i]))):.3g}")
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer flag >= low; argparse names the flag in
-    its error and exits 2 before any command runs."""
+def _checked(kind, ok, requirement: str):
+    """argparse type: ``kind(text)``, refused unless ``ok`` holds for it;
+    argparse names the flag in its error and exits 2 before any command runs."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    parse.__name__ = kind.__name__  # so argparse reports "invalid int value: ..."
     return parse
 
 
@@ -109,9 +109,12 @@ _FLAGS = {
     "--alpha": dict(type=str, default=None, help="comma list alpha_0,...,alpha_{r-1}"),
     "--a": dict(type=float, default=1.0, help="weight exponent of the transform pairing"),
     "--seed": dict(type=int, default=0, help="seed for randomized draws"),
-    "--nodes": dict(type=_int_at_least(1), default=48, help="quadrature nodes per dimension"),
-    "--degree": dict(type=_int_at_least(0), default=60, help="series truncation degree"),
-    "--tolerance-scale": dict(type=float, default=1.0,
+    "--nodes": dict(type=_checked(int, lambda v: v >= 1, ">= 1"), default=48,
+                    help="quadrature nodes per dimension"),
+    "--degree": dict(type=_checked(int, lambda v: v >= 0, ">= 0"), default=60,
+                     help="series truncation degree"),
+    "--tolerance-scale": dict(type=_checked(float, lambda v: 0.0 < v < float("inf"),
+                                            "finite and > 0"), default=1.0,
                               help="multiplies the tolerance of every residual-below check"),
 }
 
@@ -182,18 +185,16 @@ def cmd_convert(args) -> int:
     c = CyclicStructure(args.r)
     vals = [complex(x) for x in args.values.split(",")]
     if args.direction == "kappa-to-a":
-        kap = KappaVector(args.r, tuple(vals))
-        a = kappa_to_a(kap, c)
-        print(json.dumps({"solvable": True,
-                          "a": [[v.real, v.imag] for v in a]}, sort_keys=True))
+        a = kappa_to_a(KappaVector(args.r, tuple(vals)), c)
+        out = {"solvable": True, "a": [[v.real, v.imag] for v in a]}
     else:
         res = a_to_kappa(vals, c)
         if isinstance(res, NoSolution):
-            print(json.dumps({"solvable": False, "residual": res.residual}, sort_keys=True))
+            out = {"solvable": False, "residual": res.residual}
         else:
-            print(json.dumps({"solvable": True,
-                              "kappa": [[v.real, v.imag] for v in res.kappas]},
-                             sort_keys=True))
+            out = {"solvable": True, "kappa": [[v.real, v.imag] for v in res.kappas]}
+    # an overflowing value is refused (ValueError, exit 2), not printed as Infinity
+    print(json.dumps(out, sort_keys=True, allow_nan=False))
     return 0
 
 

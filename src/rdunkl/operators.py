@@ -58,11 +58,17 @@ def apply_Delta_rotated(mu: IndexVector, f: LaurentSeries, k: int) -> LaurentSer
     return apply_L_chain(f, [mu.a[(k + j) % r] for j in range(r)])
 
 
+def _dunkl_shift(a, f: LaurentSeries) -> LaurentSeries:
+    """x^n -> (n + a_{(-n) mod r}) x^(n-1), r = len(a): the weighted shift of
+    D_mu (a = mu.a) and of T(kappa) (a = kappa_to_a(kappa))."""
+    degs = f.degrees
+    weights = degs + np.asarray(a)[(-degs) % len(a)]
+    return shifted(f, f.coeffs * weights, -1)
+
+
 def apply_D(mu: IndexVector, f: LaurentSeries) -> LaurentSeries:
     """r-extension of the Dunkl operator as the closed weighted shift."""
-    degs = f.degrees
-    weights = degs + np.asarray(mu.a)[(-degs) % mu.r]
-    return shifted(f, f.coeffs * weights, -1)
+    return _dunkl_shift(mu.a, f)
 
 
 def dunkl_kernel_series(mu: IndexVector, lam: complex, N: int) -> LaurentSeries:

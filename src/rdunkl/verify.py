@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import operators, transmutation as tm, transforms as tf
-from .dunkl_opdam import KappaVector, NoSolution, a_to_kappa, apply_T_kappa, kappa_to_a
+from .dunkl_opdam import KappaVector, NoSolution, a_to_kappa, kappa_to_a, reflection_sum
 from .hilbert import (
     RayMap,
     WeightedInnerProduct,
@@ -464,7 +464,7 @@ def suite_dunkl_opdam(r, seed, nodes, degree):
         kap = a_to_kappa(list(mu.a), c)
         assert isinstance(kap, KappaVector)
         f = LaurentSeries(0, rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
-        worst = max(worst, series_residual(apply_T_kappa(kap, f, c), apply_D(mu, f)))
+        worst = max(worst, series_residual(reflection_sum(kap, f, c), apply_D(mu, f)))
     out.append(make_report("dunkl_opdam.operator_equality", {"r": r, "degree": degree},
                            worst, 1e-12))
     a0 = float(rng.uniform(0.5, 2.0))

@@ -95,6 +95,42 @@ def test_convert_directions(capsys):
     assert abs(data["a"][1][0] - 2.4) < 1e-12
 
 
+@pytest.mark.parametrize("args, stdout", [
+    (("--r", "5", "--direction", "kappa-to-a", "--values", "0.1,0.2,0.3,0.4"),
+     '{"a": [[0.0, 0.0], [2.0, 0.0], [1.5, 0.0], [1.0, 0.0], [0.5, 0.0]], "solvable": true}\n'),
+    (("--r", "3", "--direction", "a-to-kappa", "--values", "0,1.3,2.2"),
+     '{"kappa": [[0.7333333333333334, 0.0], [0.43333333333333335, 0.0]], "solvable": true}\n'),
+])
+def test_convert_prints_correctly_rounded_values(capsys, args, stdout):
+    out = run_main(capsys, "convert", *args)
+    assert (out.returncode, out.stdout, out.stderr) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("args", [
+    ("--r", "2", "--direction", "a-to-kappa", "--values", "0,nan"),
+    ("--r", "2", "--direction", "a-to-kappa", "--values", "nan,1"),
+    ("--r", "3", "--direction", "kappa-to-a", "--values", "inf,1"),
+    # finite input whose r * kappa or obstruction overflows
+    ("--r", "3", "--direction", "kappa-to-a", "--values", "1e308,1"),
+    ("--r", "2", "--direction", "a-to-kappa", "--values", "1.7e308+1.7e308j,0"),
+])
+def test_convert_refuses_non_finite_values(capsys, args):
+    out = run_main(capsys, "convert", *args)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_tolerance_scale_must_be_finite_and_positive(capsys, scale):
+    from rdunkl.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "power", "--r", "3", "--seed", "0", "--tolerance-scale", scale])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "--tolerance-scale" in err
+
+
 def test_verify_single_suite_json_and_exit(capsys):
     out = run_main(capsys, "verify", "eigen", "--r", "3", "--seed", "7")
     assert out.returncode == 0

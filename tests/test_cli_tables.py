@@ -203,10 +203,10 @@ VERIFY_GOLDEN = [
     ("transmutation", "3", "2a128cdc93a5c7ff5aa0aa69b72eaf75c1fcaa4d4080ca5b82281ba674b3d09c"),
     ("transmutation", "4", "5c85a5b96e7890c62c347899103dfa65f334f86d7dab50b2d900f2692203e628"),
     ("transmutation", "5", "e5e1321302e5372a38ce79dcb3575abc9ac6a1729d419caaa4a64781e43f9db1"),
-    ("dunkl-opdam", "2", "47712c89ab1ac34bcc65274f4209a44041f98c2b8815e309143738eebcf308c9"),
-    ("dunkl-opdam", "3", "58a02bf09649435c18bd107f4f5afc65c565378ae6c371d655bee5e3855e213b"),
-    ("dunkl-opdam", "4", "bfc9107b472357db6d3f3174b004a108a901cb3f7fc5708c3b30f0335c4489e1"),
-    ("dunkl-opdam", "5", "2b786015a88d513ba6da397c5d4bc6030af5ccdc65773a07405175b1de15a5ad"),
+    ("dunkl-opdam", "2", "d0eb30ea1ccefd07be16d2830d8c4cd97e9e6b64cda3b3bd28286dac7fc1d91a"),
+    ("dunkl-opdam", "3", "158df2332f29177408eeb2c13d6f88766c064c96d29240f12a238b6e7694fb92"),
+    ("dunkl-opdam", "4", "2aa2e7ba29040c962c5970364f3eb54275abc9fe00acb250eb7508fef86d671d"),
+    ("dunkl-opdam", "5", "4ab00738bbb2bd987b86ffd66495ade129ffc432e034073f256b5c764ecbade3"),
 ]
 
 

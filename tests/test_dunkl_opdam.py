@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 import rdunkl as rd
 from rdunkl._errors import ParameterError
+from rdunkl import operators
 from rdunkl.dunkl_opdam import (
     KappaVector,
     NoSolution,
     a_to_kappa,
     apply_T_kappa,
     kappa_to_a,
+    reflection_sum,
 )
-from rdunkl.series import CyclicStructure, LaurentSeries
+from rdunkl.series import CyclicStructure, LaurentSeries, shifted
+from rdunkl.verify import suite_dunkl_opdam
 from rdunkl.special import IndexVector
 
 
@@ -131,3 +134,69 @@ def test_to_index_vector_rejects_complex():
 def test_kappa_vector_length_check():
     with pytest.raises(ParameterError):
         KappaVector(3, (1.0,))
+
+
+# -- the correspondence is an index reversal -------------------------------------
+
+_finite = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=7).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(_finite, min_size=r - 1, max_size=r - 1))))
+def test_kappa_to_a_is_the_scaled_index_reversal(case):
+    r, kappas = case
+    a = kappa_to_a(KappaVector(r, tuple(kappas)), CyclicStructure(r))
+    # a_0 = 0 and a_t = r kappa_{r-t}, each the correctly rounded product
+    assert a == [0j] + [r * complex(kappas[r - t - 1]) for t in range(1, r)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=7).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(_finite, min_size=r - 1, max_size=r - 1))))
+def test_a_to_kappa_is_the_scaled_index_reversal(case):
+    r, tail = case
+    back = a_to_kappa([0.0] + tail, CyclicStructure(r))
+    assert isinstance(back, KappaVector)
+    # kappa_t = a_{r-t} / r, each the correctly rounded quotient
+    assert list(back.kappas) == [complex(tail[r - t - 1]) / r for t in range(1, r)]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
+def test_T_kappa_matches_the_reflection_sum(r):
+    rng = np.random.default_rng(70 + r)
+    c = CyclicStructure(r)
+    kap = KappaVector(r, tuple(rng.standard_normal(r - 1) + 1j * rng.standard_normal(r - 1)))
+    f = LaurentSeries(-r, rng.standard_normal(80) + 1j * rng.standard_normal(80))
+    assert rd.series_residual(apply_T_kappa(kap, f, c), reflection_sum(kap, f, c)) < 1e-13
+
+
+def test_non_finite_values_are_refused():
+    c = CyclicStructure(3)
+    for bad in (float("nan"), float("inf"), complex(0.0, -float("inf"))):
+        with pytest.raises(ParameterError):
+            KappaVector(3, (1.0, bad))
+        for a in ([0.0, bad, 1.0], [bad, 0.0, 1.0]):
+            with pytest.raises(ParameterError):
+                a_to_kappa(a, c)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_operator_equality_is_not_circular(r, monkeypatch):
+    # the oracle shares no arithmetic with D's weighted shift: moving one of
+    # the shift's weights by 1e-9 fails operator_equality, while the
+    # parameter round trip, which never applies an operator, still passes
+    def nudged(a, f):
+        degs = f.degrees
+        weights = degs + np.asarray(a)[(-degs) % len(a)]
+        weights[np.argmax(np.abs(f.coeffs))] += 1e-9
+        return shifted(f, f.coeffs * weights, -1)
+
+    def reports():
+        return {rep.check_id: rep for rep in suite_dunkl_opdam(r, 0, 48, 60)}
+
+    assert reports()["dunkl_opdam.operator_equality"].passed
+    monkeypatch.setattr(operators, "_dunkl_shift", nudged)
+    patched = reports()
+    assert not patched["dunkl_opdam.operator_equality"].passed
+    assert patched["dunkl_opdam.kappa_round_trip"].passed
