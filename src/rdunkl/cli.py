@@ -24,8 +24,8 @@ from .verify import SUITES, run_suites
 
 def _fmt(v: float) -> str:
     """15 significant digits with trailing zeros kept; exact integers and
-    zero print plain.  Values that "#.15g" would write in exponent form
-    (|v| < 1e-4 or >= 1e15) go through Dragon4 positional formatting."""
+    zero print plain.  A value that "#.15g" writes in exponent form
+    (|v| < 1e-4 or >= 1e15) keeps those 15 digits, written positionally."""
     if v == 0.0:
         return "0"
     if v == int(v) and abs(v) < 1e15:
@@ -33,12 +33,13 @@ def _fmt(v: float) -> str:
     s = f"{v:#.15g}"
     if "e" not in s:
         return s
-    s = np.format_float_positional(v, precision=15, unique=False, fractional=False)
-    # significant digits: every digit from the first nonzero one on
-    sig = len(s.replace("-", "").replace(".", "").lstrip("0"))
-    if "." in s:
-        s += "0" * max(0, 15 - sig)
-    return s
+    mantissa, exp = s.split("e")
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    e = int(exp)
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    return f"{sign}{digits}{'0' * (e - 14)}."
 
 
 def _write_table(xs, vals):
@@ -170,12 +171,39 @@ def _certified_series_values(mu: IndexVector, kind: str, degree: int, xs):
     return vals
 
 
+def _non_finite_field(obj, path: str = ""):
+    """``path = value`` of the first non-finite float in a JSON-ready tree of
+    dicts and lists (paths like ``a[1][0]``, keys in sorted order), or None."""
+    if isinstance(obj, float):
+        return None if np.isfinite(obj) else f"{path} = {obj}"
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, v in items:
+        hit = _non_finite_field(v, sub)
+        if hit is not None:
+            return hit
+    return None
+
+
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, args.r, args.seed, args.nodes, args.degree,
                          args.tolerance_scale)
-    print(json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True,
-                     allow_nan=False))
+    dicts = [rep.to_dict() for rep in reports]
+    try:
+        text = json.dumps(dicts, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        # JSON has no inf or NaN: refuse (exit 2) and name the check
+        for d in dicts:
+            hit = _non_finite_field(d)
+            if hit is not None:
+                raise RdunklError(f"check {d['check_id']}: {hit} is not finite") from None
+        raise
+    print(text)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -193,8 +221,13 @@ def cmd_convert(args) -> int:
             out = {"solvable": False, "residual": res.residual}
         else:
             out = {"solvable": True, "kappa": [[v.real, v.imag] for v in res.kappas]}
-    # an overflowing value is refused (ValueError, exit 2), not printed as Infinity
-    print(json.dumps(out, sort_keys=True, allow_nan=False))
+    try:
+        text = json.dumps(out, sort_keys=True, allow_nan=False)
+    except ValueError:
+        # an output that overflows is refused (exit 2) and named, not printed as Infinity
+        raise ParameterError(
+            f"--values {args.values}: the output {_non_finite_field(out)} overflows") from None
+    print(text)
     return 0
 
 

@@ -225,20 +225,50 @@ def chain_expansion_closed_form(a_prefix) -> list[float]:
     return P
 
 
-def power_identity_residual(mu: IndexVector, n: int) -> tuple[float, float]:
+def power_identity_residual(mu: IndexVector, n):
     """For the monomial x^n, compare r-fold Dunkl application against the
     grade-rotated lowering chain and against the fixed Bessel chain.
 
-    Returns (rotated_residual, fixed_delta_residual), both relative.
+    Returns (rotated_residual, fixed_delta_residual), both relative, as
+    ``series_residual`` gives them on the one-term images.  ``n`` may be a
+    degree (a pair of floats) or a 1-d array of distinct degrees (a pair of
+    arrays, one entry per degree).  All the monomials ride in one series with
+    coefficient 1 at each degree: every operator here is a weighted shift,
+    which never merges two degrees, so each coefficient takes exactly the
+    arithmetic of its own one-term series and the residuals agree with the
+    per-degree calls bit for bit.
     """
-    from .series import monomial, series_residual
+    from .series import add, project_T
 
-    r = mu.r
-    f = monomial(n)
-    k = (-n) % r
+    ns = np.atleast_1d(n)
+    if ns.ndim != 1 or ns.size == 0 or len(set(ns.tolist())) != ns.size:
+        raise ParameterError("degrees must be one integer or a 1-d array of distinct ones")
+    r, c = mu.r, mu.cyclic
+    n_min = int(ns.min())
+    coeffs = np.zeros(int(ns.max()) - n_min + 1, dtype=complex)
+    coeffs[ns - n_min] = 1.0
+    f = LaurentSeries(n_min, coeffs)
     dpow = f
     for _ in range(r):
         dpow = apply_D(mu, dpow)
-    rot = apply_Delta_rotated(mu, f, k)
+    # grade k (degrees n = -k mod r) takes the chain started at a_k
+    rot = apply_Delta_rotated(mu, project_T(f, 0, c), 0)
+    for k in range(1, r):
+        rot = add(rot, apply_Delta_rotated(mu, project_T(f, k, c), k))
     fixed = apply_Delta(mu, f)
-    return series_residual(dpow, rot), series_residual(dpow, fixed)
+    # every image starts r degrees below f, so x^n's coefficient sits at n - n_min
+    at = ns - n_min
+    lhs = dpow.coeffs[at]
+    rot_resid = _relative_gap(lhs, rot.coeffs[at])
+    fixed_resid = _relative_gap(lhs, fixed.coeffs[at])
+    if np.ndim(n) == 0:
+        return float(rot_resid[0]), float(fixed_resid[0])
+    return rot_resid, fixed_resid
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| / max(|a|, |b|, 1e-300) elementwise: ``series_residual`` of
+    one-term series, magnitudes by hypot as there."""
+    d = a - b
+    scale = np.maximum(np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag)), 1e-300)
+    return np.hypot(d.real, d.imag) / scale

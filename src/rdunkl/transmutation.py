@@ -217,9 +217,7 @@ def transmutation_residual(mu: IndexVector, f: LaurentSeries, N: int) -> Verific
     """Max coefficient residual of D(V f) - V(f'), reported without a
     verdict: validity depends on the input family."""
     V = build_V(mu, N)
-    lhs = apply_D(mu, V.apply(f))
-    rhs = V.apply(differentiate(f))
-    resid = series_residual(lhs, rhs)
+    resid = _intertwining_residual(V, V.apply(f), V.apply(differentiate(f)))
     return make_report(
         check_id="transmutation.intertwining_residual",
         params={"r": mu.r, "alphas": list(mu.alphas), "N": N,
@@ -228,6 +226,25 @@ def transmutation_residual(mu: IndexVector, f: LaurentSeries, N: int) -> Verific
         tolerance=float("nan"),
         kind=KIND_MEASURED,
     )
+
+
+def _intertwining_residual(V: TransmutationMap, Vf: LaurentSeries, Vdf: LaurentSeries) -> float:
+    """Coefficient residual of D(V f) against V(f'), given V f and V(f')."""
+    return series_residual(apply_D(V.mu, Vf), Vdf)
+
+
+def _monomials_intertwining_residual(V: TransmutationMap, degrees) -> float:
+    """Largest ``transmutation_residual`` over the monomials x^n, n >= 1 in
+    ``degrees``, each stored through degree V.N, read off V's columns: V x^n
+    is column n and V (x^n)' is n times column n - 1, bit for bit what
+    ``V.apply`` returns on them, so V is neither rebuilt nor applied."""
+    valid = V.N - (V.mu.r - 1)  # V.apply's watermark on a series stored through V.N
+    worst = 0.0
+    for n in degrees:
+        Vf = LaurentSeries(V.row_min, V.matrix[:, n], valid)
+        Vdf = LaurentSeries(V.row_min, n * V.matrix[:, n - 1], valid - 1)
+        worst = max(worst, _intertwining_residual(V, Vf, Vdf))
+    return worst
 
 
 def monomial_counterexample_check(mu: IndexVector, n: int, N: int = 40) -> VerificationReport:

@@ -120,6 +120,28 @@ def test_convert_refuses_non_finite_values(capsys, args):
     assert out.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("args, reason", [
+    (("--r", "3", "--direction", "kappa-to-a", "--values", "1e308,1"),
+     "--values 1e308,1: the output a[2][0] = inf overflows"),
+    (("--r", "2", "--direction", "a-to-kappa", "--values", "1.7e308+1.7e308j,0"),
+     "--values 1.7e308+1.7e308j,0: the output residual = inf overflows"),
+])
+def test_convert_names_the_flag_and_the_overflowing_output(capsys, args, reason):
+    out = run_main(capsys, "convert", *args)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {reason}\n")
+
+
+def test_verify_names_the_check_of_a_non_finite_field(capsys, monkeypatch):
+    import rdunkl.cli as cli
+
+    reports = [make_report("demo.finite", {"r": 2}, 0.0, 1e-12),
+               make_report("demo.overflow", {"lam": [1.0, float("inf")]}, 0.0, 1e-12)]
+    monkeypatch.setattr(cli, "run_suites", lambda *args: reports)
+    out = run_main(capsys, "verify", "power", "--r", "2")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: check demo.overflow: params.lam[1] = inf is not finite\n"
+
+
 @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
 def test_tolerance_scale_must_be_finite_and_positive(capsys, scale):
     from rdunkl.cli import main

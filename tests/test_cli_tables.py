@@ -2,6 +2,8 @@
 formatter, the refusal reasons, and golden stdout digests of table commands."""
 
 import hashlib
+import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -117,7 +119,32 @@ def _fmt_inputs():
              999999999999999.4, 999999999999999.6, 5e-324, -0.0,
              12345678901234.25, 1234567890123.125, 0.5]
     values = sample.tolist() + near_powers + edges
-    return values + [-v for v in near_powers + edges]
+    extra = _dyadic_ties() + _boundary_runs()
+    return values + extra + [-v for v in near_powers + edges + extra]
+
+
+def _dyadic_ties():
+    """Exact halfway cases of the 15-digit rounding: m 2^-k below 1e-4 whose
+    exact decimal expansion has 16 significant digits, and integers past
+    1e15 that end in 5 (16 digits) or 50 (17 digits)."""
+    small = [m / 2 ** k for k in range(14, 40) for m in range(1, 1 << 12, 2)]
+    ties = [v for v in small if v < 1e-4 and len(Decimal(v).as_tuple().digits) == 16]
+    rng = np.random.default_rng(20261020)
+    ends_5 = rng.integers(10 ** 14, 2 ** 53 // 10, 2000) * 10 + 5
+    ends_50 = rng.integers(2 ** 53 // 100 + 1, 2 ** 54 // 100, 2000) * 100 + 50
+    return ties + [float(n) for n in ends_5.tolist() + ends_50.tolist()]
+
+
+def _boundary_runs():
+    """The 50 doubles on each side of the edges of the exponent-form branch."""
+    out = []
+    for edge in (1e-4, 9.999999999999995e-5, 1e15, 999999999999999.5):
+        for side in (0.0, np.inf):
+            v = edge
+            for _ in range(50):
+                v = float(np.nextafter(v, side))
+                out.append(v)
+    return out
 
 
 def test_fmt_matches_dragon4_byte_for_byte():
@@ -207,14 +234,31 @@ VERIFY_GOLDEN = [
     ("dunkl-opdam", "3", "158df2332f29177408eeb2c13d6f88766c064c96d29240f12a238b6e7694fb92"),
     ("dunkl-opdam", "4", "2aa2e7ba29040c962c5970364f3eb54275abc9fe00acb250eb7508fef86d671d"),
     ("dunkl-opdam", "5", "4ab00738bbb2bd987b86ffd66495ade129ffc432e034073f256b5c764ecbade3"),
+    # the one-pass identity checks at their edges: no off-grade degree
+    # (--degree 0, where the negative control reads 0.0 and fails), one, the
+    # largest degree, and the r = 2 monomial intertwining at N = 200
+    ("power", "3 --seed 0 --degree 0",
+     "9ba956984fc8beba749374b785e422c746cf544e9ae5f3dc90c9e75e11a6669a"),
+    ("power", "3 --seed 0 --degree 1",
+     "718b985efcf60b78a2d915b4820bcb3c96e3655c8d53c517bcbdbbc1ae0065eb"),
+    ("power", "5 --seed 1 --degree 200",
+     "11602ca4ae5f9ac3efeebbff64741f6d41e1775fe3d989ee91829fbb973b9772"),
+    ("transmutation", "2 --seed 1 --degree 200",
+     "ee17ba9e2cfb312cc2636b46d4861156d728433e8fa4a4d5668f9165c677788f"),
 ]
 
 
 @pytest.mark.parametrize("suite, r, digest", VERIFY_GOLDEN,
                          ids=[f"{s} --r {r}" for s, r, _ in VERIFY_GOLDEN])
 def test_verify_stdout_digest(capsys, suite, r, digest):
-    code, out, err = _run(capsys, "verify", suite, "--r", r, "--seed", "0")
-    assert (code, err) == (0, "")
+    # "r" is the --r value, optionally followed by more flags; the seed is 0
+    # unless they set it
+    flags = r.split()
+    if "--seed" not in flags:
+        flags += ["--seed", "0"]
+    code, out, err = _run(capsys, "verify", suite, "--r", *flags)
+    assert err == ""
+    assert code == (0 if all(rep["pass"] for rep in json.loads(out)) else 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

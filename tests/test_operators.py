@@ -1,9 +1,11 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdunkl as rd
-from rdunkl._errors import DomainError, SeriesOverflowError
+from rdunkl._errors import DomainError, ParameterError, SeriesOverflowError
 from rdunkl.operators import (
     apply_L_chain,
     chain_expansion_closed_form,
@@ -20,6 +22,7 @@ from rdunkl.series import (
     monomial,
     mul_x_power,
     project_T,
+    series_residual,
 )
 from rdunkl.special import IndexVector
 
@@ -388,3 +391,50 @@ def test_power_identity_fixed_chain_fails_off_grade_zero():
     assert abs(fixed[1] - 15.0) < 1e-13
     _, fixed_resid = power_identity_residual(mu, 3)
     assert fixed_resid > 1e-2
+
+
+def _one_term_power_residuals(mu, n):
+    """Oracle: the power identity on the one-term series x^n alone, each chain
+    applied to it and compared by ``series_residual``."""
+    f = monomial(n)
+    dpow = f
+    for _ in range(mu.r):
+        dpow = rd.apply_D(mu, dpow)
+    rot = rd.apply_Delta_rotated(mu, f, (-n) % mu.r)
+    return series_residual(dpow, rot), series_residual(dpow, rd.apply_Delta(mu, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7).flatmap(lambda r: st.tuples(
+        st.just(r),
+        st.booleans(),
+        st.lists(st.floats(0.0, 1.0), min_size=r, max_size=r),
+    )),
+    st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=61, unique=True),
+)
+def test_power_identity_array_equals_one_term_calls(draw, degrees):
+    # alpha_k in (-k/r + 0.05, 3), as the verify suites draw them; alpha_0 = 0
+    # or not, so the chains on x^0 .. x^(r-1) reach the principal part or not
+    r, alpha0_zero, u = draw
+    alphas = [-k / r + 0.05 + (3.0 + k / r - 0.05) * v for k, v in enumerate(u)]
+    if alpha0_zero:
+        alphas[0] = 0.0
+    mu = IndexVector(r, tuple(alphas))
+    rot, fixed = power_identity_residual(mu, np.array(degrees))
+    assert rot.shape == fixed.shape == (len(degrees),)
+    for i, n in enumerate(degrees):
+        want = _one_term_power_residuals(mu, n)
+        assert (rot[i], fixed[i]) == want
+        assert power_identity_residual(mu, n) == want
+
+
+def test_power_identity_scalar_returns_floats():
+    rot, fixed = power_identity_residual(IndexVector(3, (0.5, 0.2, 0.9)), 4)
+    assert type(rot) is float and type(fixed) is float
+
+
+@pytest.mark.parametrize("degrees", [[3, 5, 3], [0, 0], []])
+def test_power_identity_refuses_repeated_or_no_degrees(degrees):
+    with pytest.raises(ParameterError):
+        power_identity_residual(IndexVector(2, (0.0, 1.0)), np.array(degrees, dtype=int))

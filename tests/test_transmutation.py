@@ -429,3 +429,17 @@ def test_v_star_map_rebuilt_from_its_fn_gives_the_same_values_and_calls(mu, monk
             got, n_got = counted(rebuilt, m)
             assert n_want > 0 and n_got == n_want
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("N", [60, 200])
+@pytest.mark.parametrize("seed", range(4))
+def test_r2_monomial_intertwining_equals_the_per_monomial_residuals(seed, N):
+    # the suite reads V x^n and V (x^n)' off the columns of its one V; the
+    # residual is the one of a fresh V applied to each monomial
+    from rdunkl.verify import suite_transmutation
+
+    reports = {rep.check_id: rep for rep in suite_transmutation(2, seed, 48, N)}
+    mu = IndexVector(2, tuple(reports["transmutation.closed_form.r2"].params["alphas"]))
+    want = max(transmutation_residual(mu, monomial(n, n_max=N), N).residual
+               for n in range(1, 41))
+    assert reports["transmutation.monomials_intertwine"].residual == want

@@ -52,3 +52,32 @@ def test_flag_reports_keep_tolerance_zero_at_any_scale(suite, check_id):
     rep = next(rep for rep in run_suites([suite], 2, seed=0, tol_scale=1e6)
                if rep.check_id == check_id)
     assert rep.tolerance == 0.0 and rep.residual == 0.0 and rep.passed
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_identity_suites_take_one_pass_over_the_degrees(r, monkeypatch):
+    # suite_power checks every degree in one power_identity_residual call;
+    # at r = 2 the 40 monomial intertwining checks read the suite's own V
+    import rdunkl.transmutation as tm
+    import rdunkl.verify as verify
+
+    builds, calls = [], []
+
+    class CountingMap(tm.TransmutationMap):
+        def __init__(self, mu, N):
+            builds.append(N)
+            super().__init__(mu, N)
+
+    real = verify.power_identity_residual
+
+    def counting(mu, n):
+        calls.append(n)
+        return real(mu, n)
+
+    monkeypatch.setattr(tm, "TransmutationMap", CountingMap)
+    monkeypatch.setattr(verify, "power_identity_residual", counting)
+    verify.suite_power(r, 0, 48, 60)
+    verify.suite_transmutation(r, 0, 48, 60)
+    assert len(calls) == 1
+    if r == 2:
+        assert len(builds) <= 4
