@@ -42,12 +42,21 @@ def _fmt(v: float) -> str:
     return f"{sign}{digits}{'0' * (e - 14)}."
 
 
+def _fmt_column(v) -> list:
+    """``_fmt`` of every value of a float array.  A non-integer with
+    2e-4 <= |v| < 5e14 is one "#.15g" format, which is positional there and
+    exactly what ``_fmt`` returns; only the other values call ``_fmt``."""
+    mags = np.abs(v)
+    plain = ((mags >= 2e-4) & (mags < 5e14) & (np.trunc(v) != v)).tolist()
+    return [f"{x:#.15g}" if p else _fmt(x) for x, p in zip(v.tolist(), plain)]
+
+
 def _write_table(xs, vals):
     """The "x,re,im" CSV table of complex values on a real grid array,
     written to stdout in one call."""
     vals = np.asarray(vals, dtype=complex)
-    rows = [f"{_fmt(x)},{_fmt(re)},{_fmt(im)}\n"
-            for x, re, im in zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist())]
+    rows = [f"{x},{re},{im}\n" for x, re, im in zip(
+        _fmt_column(xs), _fmt_column(vals.real), _fmt_column(vals.imag))]
     sys.stdout.write("x,re,im\n" + "".join(rows))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 #: default kind: the check passes when the residual is at most the tolerance
 KIND_RESIDUAL_BELOW = "residual-below"
@@ -33,11 +33,18 @@ class VerificationReport:
     kind: str = KIND_RESIDUAL_BELOW
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["pass"] = d.pop("passed")
-        if not math.isfinite(d["tolerance"]):
-            d["tolerance"] = None  # measured-only checks carry no tolerance
-        return d
+        # the fields one level deep: make_report has already turned the
+        # params into JSON-ready values
+        return {
+            "check_id": self.check_id,
+            "params": dict(self.params),
+            "residual": self.residual,
+            # measured-only checks carry no tolerance
+            "tolerance": self.tolerance if math.isfinite(self.tolerance) else None,
+            "notes": list(self.notes),
+            "kind": self.kind,
+            "pass": self.passed,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":

@@ -88,12 +88,14 @@ class LaurentSeries:
 
     def _check_grade(self):
         mags = np.abs(self.coeffs)
-        scale = np.max(mags)
+        scale = mags.max()
         if scale == 0.0:
             return
-        degs = self.degrees
-        bad = degs[((degs + self.grade) % self.r != 0) & (mags > GRADE_ZERO_TOL * scale)]
-        if bad.size:
+        # the on-grade degrees n = -grade (mod r) sit at one stride of r
+        mags[(-(self.n_min + self.grade)) % self.r :: self.r] = 0.0
+        limit = GRADE_ZERO_TOL * scale
+        if mags.max() > limit:
+            bad = self.degrees[mags > limit]
             raise ParameterError(
                 f"grade {self.grade} tag inconsistent with support at degrees {bad[:4].tolist()}"
             )

@@ -93,21 +93,21 @@ def pochhammer(beta: float, n: int) -> float:
 
 
 def bessel_j_series(mu: IndexVector, N: int) -> LaurentSeries:
-    """Series of j_mu through degree N (grade tag 0)."""
+    """Series of j_mu through degree N (grade tag 0).
+
+    The m = N // r + 1 nonzero coefficients in one pass: fac[k, n] =
+    alpha_k + 1 + n, its product over k (left to right), and the terms by
+    sequential division, term_(n+1) = term_n / -(prod_k fac[k, n] r^r)."""
     r = mu.r
+    m = N // r + 1
+    fac = np.add.outer(np.add(mu.alphas, 1.0), np.arange(m))
+    poles = np.abs(fac) < _NEG_INT_TOL
+    if poles.any():
+        n, k = divmod(int(np.argmax(poles.T)), r)  # the first hit in n-major order
+        raise PoleError(f"(alpha+1)_n factor vanishes at alpha={mu.alphas[k]}, n={n}")
+    denom = np.multiply.reduce(fac[:, : m - 1], axis=0)
     coeffs = np.zeros(N + 1, dtype=complex)
-    term = 1.0
-    n = 0
-    while n * r <= N:
-        coeffs[n * r] = term
-        denom = 1.0
-        for al in mu.alphas:
-            fac = al + 1.0 + n
-            if abs(fac) < _NEG_INT_TOL:
-                raise PoleError(f"(alpha+1)_n factor vanishes at alpha={al}, n={n}")
-            denom *= fac
-        term = -term / (denom * float(r) ** r)
-        n += 1
+    coeffs[::r] = np.divide.accumulate(np.concatenate(([1.0], -(denom * float(r) ** r))))
     return LaurentSeries(0, coeffs, N, 0, r)
 
 

@@ -78,6 +78,17 @@ class TransmutationMap:
         self.matrix = M
         self.c_norm = c_norm
 
+    def _leading_block(self, N: int) -> "TransmutationMap":
+        """The map over input degrees 0..N read off this one's leading block,
+        without a rebuild: column n of V does not depend on the size of the
+        matrix, so the block equals ``build_V(self.mu, N)`` bit for bit."""
+        if N == self.N:
+            return self
+        block = object.__new__(type(self))
+        block.mu, block.N, block.row_min, block.c_norm = self.mu, N, self.row_min, self.c_norm
+        block.matrix = self.matrix[: N - self.row_min + 1, : N + 1]
+        return block
+
     def apply(self, f: LaurentSeries) -> LaurentSeries:
         if f.n_min < 0 and f.has_principal_part(1e-300):
             raise DomainError("V acts on series without a principal part")
@@ -162,7 +173,12 @@ def closed_form_V_r3(v: float, N: int) -> np.ndarray:
 def closed_form_match_check(mu: IndexVector, N: int = 40) -> VerificationReport:
     """Generic assembly against the explicit two-term (r=2) or four-term
     (r=3) closed forms."""
-    V = build_V(mu, N)
+    return _closed_form_report(build_V(mu, N))
+
+
+def _closed_form_report(V: TransmutationMap) -> VerificationReport:
+    """``closed_form_match_check`` on a map already built."""
+    mu, N = V.mu, V.N
     if mu.r == 2 and mu.alphas[0] == 0.0:
         ref = closed_form_V_r2(mu.alphas[1], N)
         label = "r2"
@@ -188,8 +204,13 @@ def v_maps_exp_to_kernel_check(mu: IndexVector, lam: complex, N: int) -> Verific
     Otherwise the two sides genuinely differ; the report then carries the
     measured gap.  The check id ends in ".real" or ".complex" after lam.
     """
+    return _exp_to_kernel_report(build_V(mu, N), lam)
+
+
+def _exp_to_kernel_report(V: TransmutationMap, lam: complex) -> VerificationReport:
+    """``v_maps_exp_to_kernel_check`` on a map already built."""
+    mu, N = V.mu, V.N
     c = mu.cyclic
-    V = build_V(mu, N)
     lhs = V.apply(exp_series(c.theta * lam, N))
     rhs = dunkl_kernel_series(mu, lam, N)
     resid = series_residual(lhs, rhs)
@@ -216,7 +237,12 @@ def _kernel_map_exact(mu: IndexVector) -> bool:
 def transmutation_residual(mu: IndexVector, f: LaurentSeries, N: int) -> VerificationReport:
     """Max coefficient residual of D(V f) - V(f'), reported without a
     verdict: validity depends on the input family."""
-    V = build_V(mu, N)
+    return _transmutation_residual_report(build_V(mu, N), f)
+
+
+def _transmutation_residual_report(V: TransmutationMap, f: LaurentSeries) -> VerificationReport:
+    """``transmutation_residual`` on a map already built."""
+    mu, N = V.mu, V.N
     resid = _intertwining_residual(V, V.apply(f), V.apply(differentiate(f)))
     return make_report(
         check_id="transmutation.intertwining_residual",
@@ -250,9 +276,14 @@ def _monomials_intertwining_residual(V: TransmutationMap, degrees) -> float:
 def monomial_counterexample_check(mu: IndexVector, n: int, N: int = 40) -> VerificationReport:
     """Negative control: for r >= 3 the intertwining relation fails on
     monomials, and the failure must stay above the floor 1e-2."""
+    return _monomial_counterexample_report(build_V(mu, N), n)
+
+
+def _monomial_counterexample_report(V: TransmutationMap, n: int) -> VerificationReport:
+    """``monomial_counterexample_check`` on a map already built."""
     from .series import monomial
 
-    V = build_V(mu, N)
+    mu, N = V.mu, V.N
     lhs = apply_D(mu, V.apply(monomial(n, n_max=N)))
     rhs = V.apply(differentiate(monomial(n, n_max=N)))
     resid = series_residual(lhs, rhs)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rdunkl.transmutation as transmutation
-from rdunkl.cli import _certified_series_values, _fmt, main
+from rdunkl.cli import _certified_series_values, _fmt, _write_table, main
 from rdunkl.mehler import MehlerWeight
 from rdunkl.operators import dunkl_kernel_series
 from rdunkl.riemann_liouville import product_factorization_check
@@ -173,6 +173,26 @@ def test_fmt_exponent_form_falls_back_to_positional():
     assert _fmt(-0.0) == "0"
 
 
+def test_write_table_equals_the_per_value_fmt_join(capsys):
+    # the writer formats most values with one "#.15g" and the rest through
+    # _fmt; the table must equal the per-value _fmt join, also at the edges
+    # of its plain range (2e-4, 5e14), the exponent-form edges (1e-4, 1e15),
+    # signed zeros, integers and the smallest magnitudes
+    edges = []
+    for v in (1e-4, 2e-4, 5e14, 1e15, 1.5e-300, 5e-324):
+        edges += [v, float(np.nextafter(v, 0.0)), float(np.nextafter(v, np.inf))]
+    edges += [0.0, -0.0, 1.0, 3.0, 4096.0, 2.0 ** 52, 0.5, 1e14 + 0.5]
+    rng = np.random.default_rng(20261021)
+    sample = (rng.uniform(1.0, 10.0, 5000) * 10.0 ** rng.integers(-8, 17, 5000)).tolist()
+    values = np.array(edges + [-v for v in edges] + sample
+                      + np.linspace(-3.0, 4.0, 2001).tolist())
+    re, im = values[::-1].copy(), np.round(values, 2)
+    _write_table(values, re + 1j * im)
+    want = "x,re,im\n" + "".join(f"{_fmt(x)},{_fmt(a)},{_fmt(b)}\n" for x, a, b in
+                                 zip(values.tolist(), re.tolist(), im.tolist()))
+    assert capsys.readouterr().out == want
+
+
 # -- golden stdout digests --------------------------------------------------------
 
 GOLDEN = [
@@ -235,10 +255,10 @@ VERIFY_GOLDEN = [
     ("dunkl-opdam", "4", "2aa2e7ba29040c962c5970364f3eb54275abc9fe00acb250eb7508fef86d671d"),
     ("dunkl-opdam", "5", "4ab00738bbb2bd987b86ffd66495ade129ffc432e034073f256b5c764ecbade3"),
     # the one-pass identity checks at their edges: no off-grade degree
-    # (--degree 0, where the negative control reads 0.0 and fails), one, the
-    # largest degree, and the r = 2 monomial intertwining at N = 200
+    # (--degree 0, where the negative control is reported as not applicable),
+    # one, the largest degree, and the r = 2 monomial intertwining at N = 200
     ("power", "3 --seed 0 --degree 0",
-     "9ba956984fc8beba749374b785e422c746cf544e9ae5f3dc90c9e75e11a6669a"),
+     "9aaacbf2a14fe0180f2f5e272ba4564ea70eb95e06e59fc6d9c25eb52c33cb66"),
     ("power", "3 --seed 0 --degree 1",
      "718b985efcf60b78a2d915b4820bcb3c96e3655c8d53c517bcbdbbc1ae0065eb"),
     ("power", "5 --seed 1 --degree 200",
@@ -260,6 +280,23 @@ def test_verify_stdout_digest(capsys, suite, r, digest):
     assert err == ""
     assert code == (0 if all(rep["pass"] for rep in json.loads(out)) else 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_power_negative_control_without_off_grade_degree_is_not_applicable(capsys, r):
+    # --degree 0 checks degree 0 only: no off-grade degree, so the negative
+    # control is a measurement that does not set the exit code
+    code, out, err = _run(capsys, "verify", "power", "--r", str(r), "--seed", "0",
+                          "--degree", "0")
+    assert (code, err) == (0, "")
+    rep = next(d for d in json.loads(out) if d["check_id"] == "power.fixed_chain_off_grade_zero")
+    assert rep["kind"] == "measured" and rep["pass"] and rep["tolerance"] is None
+    assert rep["notes"] == ["not applicable: no off-grade degree in 0..0"]
+    # at degree 1 the off-grade degree 1 is measured against the floor
+    code, out, _ = _run(capsys, "verify", "power", "--r", str(r), "--seed", "0",
+                        "--degree", "1")
+    rep = next(d for d in json.loads(out) if d["check_id"] == "power.fixed_chain_off_grade_zero")
+    assert code == 0 and rep["kind"] == "exceeds-floor" and rep["pass"]
 
 
 # -- the transmutation matrix ----------------------------------------------------------

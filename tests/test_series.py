@@ -9,7 +9,7 @@ import rdunkl as rd
 from rdunkl._errors import DomainError, ParameterError
 from rdunkl.dunkl_opdam import KappaVector, apply_T_kappa
 from rdunkl.riemann_liouville import apply_R_inverse_series, apply_R_series
-from rdunkl.series import add, lincomb, shifted, zero_series
+from rdunkl.series import GRADE_ZERO_TOL, add, lincomb, shifted, zero_series
 
 
 def random_series(rng, n_min=-3, n_max=25):
@@ -151,6 +151,54 @@ def test_grade_tag_validation():
     assert good.grade == 1
     with pytest.raises(ParameterError):
         rd.LaurentSeries(0, np.array([1.0, 1.0]), grade=0, r=3)
+
+
+def _grade_verdict_by_mask(n_min, coeffs, grade, r):
+    """Oracle: the grade tag's message from a mask over every stored degree,
+    or None when the tag is consistent."""
+    mags = np.abs(coeffs)
+    scale = np.max(mags)
+    if scale == 0.0:
+        return None
+    degs = np.arange(n_min, n_min + len(coeffs))
+    bad = degs[((degs + grade) % r != 0) & (mags > GRADE_ZERO_TOL * scale)]
+    if bad.size:
+        return f"grade {grade} tag inconsistent with support at degrees {bad[:4].tolist()}"
+    return None
+
+
+def test_grade_check_matches_the_mask_over_every_degree():
+    rng = np.random.default_rng(20261021)
+    raised = 0
+    for case in range(6000):
+        r = int(rng.integers(2, 8))
+        n_min, size = int(rng.integers(-8, 5)), int(rng.integers(1, 40))
+        grade = int(rng.integers(-3, 10))
+        degs = np.arange(n_min, n_min + size)
+        on = (degs + grade) % r == 0
+        c = np.zeros(size, dtype=complex)
+        c[on] = rng.standard_normal(on.sum()) + 1j * rng.standard_normal(on.sum())
+        kind = case % 6
+        off = np.flatnonzero(~on)
+        if kind == 1:
+            c[:] = 0.0
+        elif kind == 2:
+            c[rng.integers(0, size)] = np.nan
+        elif kind in (3, 4) and off.size and np.any(c):
+            # an off-grade entry exactly at the threshold, or just above it
+            limit = GRADE_ZERO_TOL * np.max(np.abs(c))
+            c[rng.choice(off)] = limit if kind == 3 else np.nextafter(limit, 1.0)
+        elif kind == 5 and off.size:
+            c[off] = 1e-3 * rng.standard_normal(off.size)
+        want = _grade_verdict_by_mask(n_min, c, grade, r)
+        try:
+            rd.LaurentSeries(n_min, c, grade=grade, r=r)
+            got = None
+        except ParameterError as exc:
+            got = str(exc)
+        assert got == want, (n_min, c, grade, r)
+        raised += want is not None
+    assert 1000 < raised < 5000
 
 
 def test_valid_order_clamps_comparisons():

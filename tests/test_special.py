@@ -246,3 +246,54 @@ def test_pochhammer_beyond_64_at_negative_beta(beta, n):
     got = rd.pochhammer(beta, n)
     assert math.copysign(1.0, got) == math.copysign(1.0, want)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _bessel_recurrence(mu, N):
+    """Oracle: j_mu's coefficients by the scalar recurrence, one degree and
+    one alpha at a time, term_(n+1) = -term_n / (prod_k (alpha_k+1+n) r^r)."""
+    r = mu.r
+    coeffs = np.zeros(N + 1, dtype=complex)
+    term, n = 1.0, 0
+    while n * r <= N:
+        coeffs[n * r] = term
+        denom = 1.0
+        for al in mu.alphas:
+            fac = al + 1.0 + n
+            if abs(fac) < 1e-12:
+                raise PoleError(f"(alpha+1)_n factor vanishes at alpha={al}, n={n}")
+            denom *= fac
+        term = -term / (denom * float(r) ** r)
+        n += 1
+    return coeffs
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
+def test_bessel_j_series_equals_the_scalar_recurrence_bit_for_bit(r):
+    # alpha_0 = 0, alpha_0 != 0, and alphas just above their bounds -k/r
+    rng = np.random.default_rng(r)
+    mus = [rd.IndexVector(r, (0.0,) + tuple(rng.uniform(-k / r + 0.05, 3.0)
+                                            for k in range(1, r))),
+           rd.IndexVector(r, tuple(rng.uniform(-k / r + 0.05, 3.0) for k in range(r))),
+           rd.IndexVector(r, tuple(-k / r + 1e-9 for k in range(r))),
+           rd.IndexVector(r, tuple(-k / r for k in range(r)))]
+    for mu in mus:
+        want = _bessel_recurrence(mu, 300)
+        for N in range(301):
+            ser = rd.bessel_j_series(mu, N)
+            assert ser.coeffs.tobytes() == want[: N + 1].tobytes(), (mu.alphas, N)
+            assert (ser.n_min, ser.valid_order, ser.grade, ser.r) == (0, N, 0, r)
+
+
+@pytest.mark.parametrize("alphas, N", [((0.5, -3.0, -2.0), 8), ((0.5, -3.0, -2.0), 3),
+                                       ((-1.0, 0.5), 0), ((0.2, -4.0), 9)])
+def test_bessel_j_series_pole_message_names_the_first_vanishing_factor(alphas, N):
+    # an index that slipped past IndexVector's validation: the first zero
+    # factor in the recurrence's order (degree first, then alpha) is named
+    mu = object.__new__(rd.IndexVector)
+    object.__setattr__(mu, "r", len(alphas))
+    object.__setattr__(mu, "alphas", alphas)
+    with pytest.raises(PoleError) as want:
+        _bessel_recurrence(mu, N)
+    with pytest.raises(PoleError) as got:
+        rd.bessel_j_series(mu, N)
+    assert str(got.value) == str(want.value)

@@ -443,3 +443,44 @@ def test_r2_monomial_intertwining_equals_the_per_monomial_residuals(seed, N):
     want = max(transmutation_residual(mu, monomial(n, n_max=N), N).residual
                for n in range(1, 41))
     assert reports["transmutation.monomials_intertwine"].residual == want
+
+
+@pytest.mark.parametrize("mu", [
+    rd.IndexVector(2, (0.0, 0.6)), EX9, rd.IndexVector(4, (0.0, 0.75, 0.5, 0.25)),
+    rd.IndexVector(3, (0.4, 0.2, -0.3)), rd.IndexVector(5, (0.7, 0.2, 0.4, 0.6, 0.8)),
+], ids=["r2", "r3-ex9", "r4", "r3-alpha0", "r5-alpha0"])
+def test_leading_block_is_the_smaller_V_bit_for_bit(mu):
+    # alpha_0 = 0 and alpha_0 != 0 (rows start below degree 0): the leading
+    # block of one large V is build_V at each smaller degree, and applying or
+    # inverting it gives the same bytes
+    big = build_V(mu, 200)
+    rng = np.random.default_rng(mu.r)
+    for N in (0, 1, 40, 60, 80, 199, 200):
+        small, block = build_V(mu, N), big._leading_block(N)
+        assert (block.N, block.row_min, block.c_norm) == (small.N, small.row_min, small.c_norm)
+        assert block.matrix.shape == small.matrix.shape
+        assert block.matrix.tobytes() == np.ascontiguousarray(small.matrix).tobytes()
+        f = LaurentSeries(0, rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
+        assert block.apply(f).coeffs.tobytes() == small.apply(f).coeffs.tobytes()
+        if small.row_min == 0:
+            assert block.solve(f).coeffs.tobytes() == small.solve(f).coeffs.tobytes()
+    assert big._leading_block(200) is big
+
+
+def test_checks_on_a_leading_block_equal_the_public_checks():
+    # the suite reads every check off one V; each equals its public
+    # function, which builds its own V at the degree it is given
+    big = build_V(EX9, 80)
+    f = fourier_sum_series({0: 1.0, 1: 0.5, -1: 0.5j}, 16 * np.pi, 80)
+    pairs = [
+        (transmutation._closed_form_report(big._leading_block(40)),
+         closed_form_match_check(EX9, 40)),
+        (transmutation._exp_to_kernel_report(big._leading_block(60), 0.5 + 0.2j),
+         v_maps_exp_to_kernel_check(EX9, 0.5 + 0.2j, 60)),
+        (transmutation._monomial_counterexample_report(big._leading_block(60), 3),
+         monomial_counterexample_check(EX9, 3, 60)),
+        (transmutation._transmutation_residual_report(big, f),
+         transmutation_residual(EX9, f, 80)),
+    ]
+    for got, want in pairs:
+        assert got.to_json() == want.to_json()

@@ -79,5 +79,25 @@ def test_identity_suites_take_one_pass_over_the_degrees(r, monkeypatch):
     verify.suite_power(r, 0, 48, 60)
     verify.suite_transmutation(r, 0, 48, 60)
     assert len(calls) == 1
-    if r == 2:
-        assert len(builds) <= 4
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("degree", [60, 200])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_suite_transmutation_builds_one_V(r, degree, monkeypatch):
+    # one V at the largest degree the suite reads (max(N, 80) at r = 3);
+    # every check reads its leading block
+    import rdunkl.transmutation as tm
+    import rdunkl.verify as verify
+
+    builds = []
+
+    class CountingMap(tm.TransmutationMap):
+        def __init__(self, mu, N):
+            builds.append(N)
+            super().__init__(mu, N)
+
+    monkeypatch.setattr(tm, "TransmutationMap", CountingMap)
+    reports = verify.suite_transmutation(r, 0, 48, degree)
+    assert builds == [max(degree, 80) if r == 3 else degree]
+    assert len(reports) == {2: 6, 3: 7, 4: 4, 5: 4}[r]
