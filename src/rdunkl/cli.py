@@ -43,12 +43,15 @@ def _fmt(v: float) -> str:
 
 
 def _fmt_column(v) -> list:
-    """``_fmt`` of every value of a float array.  A non-integer with
-    2e-4 <= |v| < 5e14 is one "#.15g" format, which is positional there and
-    exactly what ``_fmt`` returns; only the other values call ``_fmt``."""
+    """``_fmt`` of every value of a float array.  Zero and the integers with
+    |v| < 1e15 print plain, and a non-integer with 2e-4 <= |v| < 5e14 is one
+    "#.15g" format, which is positional there, each exactly what ``_fmt``
+    returns; only the values "#.15g" writes in exponent form call ``_fmt``."""
     mags = np.abs(v)
-    plain = ((mags >= 2e-4) & (mags < 5e14) & (np.trunc(v) != v)).tolist()
-    return [f"{x:#.15g}" if p else _fmt(x) for x, p in zip(v.tolist(), plain)]
+    whole = ((np.trunc(v) == v) & (mags < 1e15)).tolist()
+    plain = ((mags >= 2e-4) & (mags < 5e14)).tolist()
+    return [str(int(x)) if w else f"{x:#.15g}" if p else _fmt(x)
+            for x, w, p in zip(v.tolist(), whole, plain)]
 
 
 def _write_table(xs, vals):

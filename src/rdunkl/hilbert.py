@@ -12,8 +12,9 @@ family with twist 2 (x/conj(x) = omega^(2m) on ray m).  The ray sum keeps
 the terms x^i of f and x^j of g with i + tau_f = j + tau_g (mod r), each a
 Gamma moment Gamma(p) (s_f + s_g)^(-p), p = (i + j + a + 1)/r; ``pairing``
 sums them exactly, so the gated ``hilbert.*`` reports are coefficient
-identities.  Quadrature (``inner_product``) stays for operands that leave
-the family, the adjoints R* and V*, and as the tests' oracle of ``pairing``.
+identities.  Quadrature (``inner_product_plain``) stays for operands that
+leave the family, the adjoints R* and V*; it and the transforms' kernel
+pairing are the one ray integral ``_ray_integral``.
 
 Every ray function answers for all r rays in one call: ``on_ray(m, t)``
 takes one ray index or a 1-d array of them and then returns one row per
@@ -26,8 +27,7 @@ input once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,72 +194,35 @@ def ray_dunkl(mu: IndexVector, f: RayTestFunction) -> RayTestFunction:
     return _with_decay_term(f, apply_D(mu, f.poly))
 
 
-@dataclass(frozen=True)
-class WeightedInnerProduct:
-    """Quadrature context for <.,.>_a truncated at Tmax.
-
-    Construction verifies that the slowest-decaying family member the caller
-    promises (degree <= max_degree, decay >= min_decay_scale) has a
-    negligible tail beyond Tmax.
-    """
-
-    n_nodes: ClassVar[int] = 200
-    max_degree: ClassVar[int] = 24
-
-    a: float
-    r: int
-    Tmax: float = None  # type: ignore[assignment]
-    min_decay_scale: float = 1.0
-    nodes: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ParameterError("the weight exponent a must be positive")
-
-        def tail(T):
-            return T ** (self.max_degree + self.a) * np.exp(
-                -2.0 * self.min_decay_scale * T ** self.r)
-
-        if self.Tmax is None:
-            T = (38.0 / (2.0 * self.min_decay_scale)) ** (1.0 / self.r)
-            while tail(T) > 1e-15:
-                T += 0.25
-            object.__setattr__(self, "Tmax", float(T))
-        if tail(self.Tmax) > 1e-14:
-            raise ParameterError(f"Tmax={self.Tmax} cannot certify the truncation tail "
-                                 f"({tail(self.Tmax):.2e})")
-        rule = gauss_jacobi_rule(0.0, self.a - 1.0, self.n_nodes)
-        object.__setattr__(self, "nodes", self.Tmax * rule.nodes)
-        object.__setattr__(self, "weights", self.Tmax ** self.a * rule.weights)
-
-
-def _ray_sum(f, g, t: np.ndarray, c: CyclicStructure) -> np.ndarray:
-    """sum_m f(omega^m t) conj(g(omega^m t)) at the nodes t, from one
-    all-ray evaluation of each function, summed ray by ray."""
+def _ray_integral(g, kernel_at, a: float, Tmax: float, n_nodes: int,
+                  c: CyclicStructure) -> complex:
+    """integral_0^Tmax sum_m g(omega^m t) kernel_at(m, t) t^a dt, with g and
+    the kernel each evaluated once on all r rays (m an array of indices):
+    Gauss-Legendre for a = 0, Gauss-Jacobi with t^a in the weight otherwise."""
+    if a < 0:
+        raise ParameterError("the weight exponent must satisfy a >= 0")
+    if a == 0:
+        rule = gauss_legendre_rule(n_nodes, 0.0, Tmax)
+        t, w = rule.nodes, rule.weights
+    else:
+        rule = gauss_jacobi_rule(0.0, a, n_nodes)
+        t, w = Tmax * rule.nodes, Tmax ** (a + 1.0) * rule.weights
     rays = np.arange(c.r)
     acc = np.zeros_like(t, dtype=complex)
-    for row in f.on_ray(rays, t) * np.conj(g.on_ray(rays, t)):
+    for row in np.asarray(g.on_ray(rays, t), dtype=complex) * kernel_at(rays, t):
         acc += row
-    return acc
-
-
-def inner_product(f, g, ip: WeightedInnerProduct, c: CyclicStructure) -> complex:
-    """<f, g>_a; conjugate-linear in g."""
-    # one power of t moves into the Jacobi weight: integrate t^(a-1) * (t s(t))
-    t = ip.nodes
-    return complex(np.sum(ip.weights * t * _ray_sum(f, g, t, c)))
+    return complex(np.sum(w * acc))
 
 
 def inner_product_plain(f, g, a: float, Tmax: float, n_nodes: int,
                         c: CyclicStructure) -> complex:
-    """<f, g>_a by plain Gauss-Legendre with the t^a weight kept in the
-    integrand.  Used when g behaves like t^(-a) near the origin (adjoints of
-    the fractional means do), where the product t^a f conj(g) is the smooth
-    quantity."""
-    rule = gauss_legendre_rule(n_nodes, 0.0, Tmax)
-    t = rule.nodes
-    return complex(np.sum(rule.weights * t ** a * _ray_sum(f, g, t, c)))
+    """<f, g>_a truncated at Tmax, conjugate-linear in g, by plain
+    Gauss-Legendre with the t^a weight kept in the integrand.  That suits
+    operands that leave the family: g may behave like t^(-a) near the
+    origin (adjoints of the fractional means do), where the product
+    t^a f conj(g) is the smooth quantity."""
+    return _ray_integral(f, lambda m, t: t ** a * np.conj(g.on_ray(m, t)), 0.0, Tmax,
+                         n_nodes, c)
 
 
 def _gamma_moments(i, u, j, v, phase, a: float, r: int, s: float, log_weight=0.0):

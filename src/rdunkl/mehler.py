@@ -180,11 +180,23 @@ def mehler_E(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
 
 
 def beta_lemma_check(x: float, y: float, r: int, n_nodes: int = 48) -> VerificationReport:
-    """r * integral_0^1 (1-u^r)^(y-1) u^(rx-1) du against Gamma(x)Gamma(y)/Gamma(x+y)."""
+    """r * integral_0^1 (1-u^r)^(y-1) u^(rx-1) du against Gamma(x)Gamma(y)/Gamma(x+y).
+
+    Taken in u, not in v = u^r (where it is a Jacobi rule's own mass):
+    1 - u^r = (1-u) Q(u) with Q = 1 + u + ... + u^(r-1), so the integral is
+    r B(y, rx) times the mean of the smooth Q^(y-1) under the rule for
+    (1-u)^(y-1) u^(rx-1).  The rule's mass B(y, rx) comes from the same
+    Gamma formula as the right side, so the mean divides by the weights'
+    sum: the check sees the nodes and how the mass is split between them,
+    not the eigensolver's rounding of the total."""
     if x <= 0 or y <= 0:
         raise ParameterError("the beta integral needs x, y > 0")
-    rule = gauss_jacobi_rule(y - 1.0, x - 1.0, n_nodes)
-    got = float(np.sum(rule.weights))  # v = u^r turns the integrand into the pure weight
+    rule = gauss_jacobi_rule(y - 1.0, r * x - 1.0, n_nodes)
+    Q = np.ones_like(rule.nodes)
+    for _ in range(r - 1):  # Horner
+        Q = 1.0 + Q * rule.nodes
+    mean = float(np.sum(rule.weights * Q ** (y - 1.0)) / np.sum(rule.weights))
+    got = r * gamma_ratio([y, r * x], [y + r * x]) * mean
     want = gamma_ratio([x, y], [x + y])
     return make_report(
         check_id="beta_lemma",

@@ -30,11 +30,12 @@ import warnings
 import numpy as np
 
 from ._errors import ParameterError, SeriesOverflowError, TailWarning
-from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
+from .quadrature import gauss_legendre_rule
 from .reports import KIND_MEASURED, VerificationReport, make_report
 from .series import CyclicStructure, evaluate, kernel_log_peak, kernel_series_degree
 from .special import IndexVector
-from .hilbert import RayMap, RayTestFunction, _gamma_moments, _per_ray, ray_dunkl
+from .hilbert import (RayMap, RayTestFunction, _gamma_moments, _per_ray, _ray_integral,
+                      ray_dunkl)
 from .operators import dunkl_kernel_series
 from .riemann_liouville import apply_R_adjoint
 from .transmutation import build_V_star
@@ -105,25 +106,6 @@ def _auto_Tmax(r: int, decay_scale: float, growth: float) -> float:
     return T
 
 
-def _ray_transform(g, kernel_at, a: float, Tmax: float, n_nodes: int,
-                   c: CyclicStructure) -> complex:
-    """integral_0^inf sum_m g(omega^m t) kernel_at(m, t) t^a dt, with g and
-    the kernel each evaluated once on all r rays (m an array of indices)."""
-    if a < 0:
-        raise ParameterError("the weight exponent must satisfy a >= 0")
-    if a == 0:
-        rule = gauss_legendre_rule(n_nodes, 0.0, Tmax)
-        t, w = rule.nodes, rule.weights
-    else:
-        rule = gauss_jacobi_rule(0.0, a, n_nodes)
-        t, w = Tmax * rule.nodes, Tmax ** (a + 1.0) * rule.weights
-    rays = np.arange(c.r)
-    acc = np.zeros_like(t, dtype=complex)
-    for row in np.asarray(g.on_ray(rays, t), dtype=complex) * kernel_at(rays, t):
-        acc += row
-    return complex(np.sum(w * acc))
-
-
 def f_r_transform(g, lam: complex, a: float = 0.0, n_nodes: int = 240,
                   c: CyclicStructure | None = None) -> complex:
     """Base transform: g paired with exp(theta lam x) over the rays.  A ray
@@ -134,7 +116,7 @@ def f_r_transform(g, lam: complex, a: float = 0.0, n_nodes: int = 240,
     def kern(m, t):
         return np.exp(_per_ray(m, t, lambda k: c.theta * lam * c.omega_pow(k)) * t)
 
-    return _ray_transform(g, kern, a, Tmax, n_nodes, c)
+    return _ray_integral(g, kern, a, Tmax, n_nodes, c)
 
 
 def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
@@ -162,7 +144,7 @@ def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
     def kern(m, t):
         return evaluate(ker, _per_ray(m, t, lambda k: lam * c.omega_pow(k)) * t)
 
-    return _ray_transform(g, kern, a, Tmax, n_nodes, c)
+    return _ray_integral(g, kern, a, Tmax, n_nodes, c)
 
 
 def _kernel_Tmax(c: CyclicStructure, decay: float, lam_abs: float) -> float:

@@ -232,10 +232,10 @@ VERIFY_GOLDEN = [
     ("hilbert", "3", "e6929bc0421e08351ad7f7ff694ea58bf84e1f3abbacb7113e487648cdeb9f34"),
     ("hilbert", "4", "290ee40b6615c78e2e9ada61661904912993bb8bbf809ad52880558153c262f8"),
     ("hilbert", "5", "b7c98824f642b36ef8aafbf2bdc6160088ea9aef6d71732edafe3c416d37e4d3"),
-    ("rl", "2", "9501052b55364b7494192f85ac19fdf3fb1e957e78db92fd12f8b9a193d30a46"),
-    ("rl", "3", "360a41e37436b602b24a90b509f75602d3087d33be252b4deccbf5577334c321"),
-    ("rl", "4", "9f81b3855fa3076c1d85d0fdb89b83d00f56fdb01c81679d8adfaf4f8cfc2ebb"),
-    ("rl", "5", "961760d6a676c2ae4e8690c67114877ad4f1437ba9368c26273e10ca1f969617"),
+    ("rl", "2", "fffdeab33acb999873b422688004f76e5d2606164c43b4364def48f8a5ac9639"),
+    ("rl", "3", "14ffd44388cad2493ed8917f60c022b0c3434181a15c9ee242c43c30b1f30438"),
+    ("rl", "4", "0ddb677ce8001da6634edf3ebfc494bbcb9d4dc946ce845556ed126f0e90e24a"),
+    ("rl", "5", "d00fb8f5a18309ca7f7e5133c9affc6be78d31093c31ea813b10fcd362cac315"),
     ("transform", "2", "c3fcff47c93f8e96ba153e8d935fc0ac5cc97749890068cf4bfe163dc090c2ef"),
     ("transform", "3", "3b97832263deafb832bd721f7ff33ca6ebd5443b6e70efa0fb689bb390165725"),
     ("eigen", "2", "5447662a5f5c9d55cf9ea82d2738705267d3581a2520c4daa782ada2f163ef55"),

@@ -9,11 +9,9 @@ import rdunkl as rd
 from rdunkl._errors import ParameterError
 from rdunkl.hilbert import (
     RayMap,
-    WeightedInnerProduct,
     apply_D_star,
     dunkl_adjoint_residual,
     dunkl_antisymmetry_residual,
-    inner_product,
     inner_product_plain,
     integration_by_parts_check,
     multiplication_adjoint_residuals,
@@ -29,35 +27,39 @@ from rdunkl.hilbert import (
     ray_projection,
     _random_test_function,
 )
-from rdunkl.quadrature import gauss_legendre_rule
+from rdunkl.quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from rdunkl.series import CyclicStructure, evaluate
+from rdunkl.transforms import _auto_Tmax
+
+
+def _product(f, g, a, c):
+    """<f, g>_a of two family members with decay 1, cut where their product
+    exp(-2 t^r) is negligible."""
+    return inner_product_plain(f, g, a, _auto_Tmax(c.r, 2.0, 0.0), 400, c)
 
 
 def test_norm_of_x_gaussian():
     # <f, f>_1 with f = x e^{-x^2} equals 2 int t^3 e^{-2t^2} dt = 1/4
     c = CyclicStructure(2)
-    ip = WeightedInnerProduct(a=1.0, r=2)
     f = ray_poly(c, [0.0, 1.0])
-    assert abs(inner_product(f, f, ip, c) - 0.25) < 1e-10
+    assert abs(_product(f, f, 1.0, c) - 0.25) < 1e-10
 
 
 def test_hermitian_symmetry():
     c = CyclicStructure(3)
-    ip = WeightedInnerProduct(a=1.7, r=3)
     rng = np.random.default_rng(0)
     f = _random_test_function(c, rng)
     g = _random_test_function(c, rng)
-    assert abs(inner_product(f, g, ip, c) - np.conj(inner_product(g, f, ip, c))) < 1e-12
+    assert abs(_product(f, g, 1.7, c) - np.conj(_product(g, f, 1.7, c))) < 1e-12
 
 
 def test_reduces_to_weighted_line_integral_r2():
     # r=2 with a = 2 alpha + 1 matches the |t|^(2 alpha + 1) integral over R
     alpha = 0.6
     c = CyclicStructure(2)
-    ip = WeightedInnerProduct(a=2 * alpha + 1.0, r=2)
     f = ray_poly(c, [1.0, 0.0, 2.0])
     g = ray_poly(c, [0.5, 1.0])
-    got = inner_product(f, g, ip, c)
+    got = _product(f, g, 2 * alpha + 1.0, c)
 
     def integrand(t):
         total = 0.0
@@ -68,11 +70,6 @@ def test_reduces_to_weighted_line_integral_r2():
 
     want, _ = quad(integrand, 0, 12, epsabs=1e-13, epsrel=1e-13)
     assert abs(got - want) < 1e-10
-
-
-def test_tail_certification():
-    with pytest.raises(ParameterError):
-        WeightedInnerProduct(a=1.0, r=2, Tmax=2.0)
 
 
 @pytest.mark.parametrize("r,i", [(2, 0), (2, 1), (3, 1), (3, 2)])
@@ -270,11 +267,13 @@ def _ref_D_star(mu, a, f):
     return fn
 
 
-def _ref_ray_sum(f, g, t, r):
+def _ref_inner_product(f, g, a, rule, r):
+    """sum_n w_n sum_m f(omega^m t_n) t_n^a conj(g(omega^m t_n)), ray by ray."""
+    t = rule.nodes
     acc = np.zeros_like(t, dtype=complex)
     for m in range(r):
-        acc += f(m, t) * np.conj(g(m, t))
-    return acc
+        acc += f(m, t) * (t ** a * np.conj(g(m, t)))
+    return complex(np.sum(rule.weights * acc))
 
 
 def _stacked(ref, r, t):
@@ -321,18 +320,14 @@ def test_all_ray_compositions_equal_ray_by_ray_reference(r):
 def test_inner_products_equal_ray_by_ray_sum(r):
     c, f, principal = _family(r)
     mu = rd.IndexVector(r, (0.0, 0.8, 1.1, 0.6, 0.9)[:r])
-    ip = WeightedInnerProduct(a=2.3, r=r, min_decay_scale=0.7)
+    Tmax = _auto_Tmax(r, 1.4, 0.0)
+    rule = gauss_legendre_rule(200, 0.0, Tmax)
     pairs = [(f, principal, _ref_test_function(f), _ref_test_function(principal)),
              (ray_projection(f, 1, c), RayMap(_ref_D_star(mu, 2.3, principal)),
               _ref_projection(_ref_test_function(f), 1, c), _ref_D_star(mu, 2.3, principal))]
     for lhs, rhs, ref_lhs, ref_rhs in pairs:
-        t = ip.nodes
-        want = complex(np.sum(ip.weights * t * _ref_ray_sum(ref_lhs, ref_rhs, t, r)))
-        assert np.array_equal(inner_product(lhs, rhs, ip, c), want)
-        rule = gauss_legendre_rule(200, 0.0, ip.Tmax)
-        t = rule.nodes
-        want = complex(np.sum(rule.weights * t ** 2.3 * _ref_ray_sum(ref_lhs, ref_rhs, t, r)))
-        assert np.array_equal(inner_product_plain(lhs, rhs, 2.3, ip.Tmax, 200, c), want)
+        want = _ref_inner_product(ref_lhs, ref_rhs, 2.3, rule, r)
+        assert np.array_equal(inner_product_plain(lhs, rhs, 2.3, Tmax, 200, c), want)
 
 
 # -- the exact pairing against quadrature and mpmath ------------------------------
@@ -374,13 +369,28 @@ def _pairing_operands(r):
     ]
 
 
+def _jacobi_product(f, g, a, c, decay=0.7, max_degree=24, n_nodes=200):
+    """<f, g>_a by Gauss-Jacobi with t^(a-1) in the weight, times t, cut
+    where t^(max_degree + a) exp(-2 decay t^r) falls below 1e-15: spectrally
+    accurate on family members of degree <= max_degree and decay >= decay,
+    so a tighter quadrature oracle of ``pairing`` than the t^a-in-integrand
+    Legendre rule of ``inner_product_plain``."""
+    T = (38.0 / (2.0 * decay)) ** (1.0 / c.r)
+    while T ** (max_degree + a) * np.exp(-2.0 * decay * T ** c.r) > 1e-15:
+        T += 0.25
+    rule = gauss_jacobi_rule(0.0, a - 1.0, n_nodes)
+    t = T * rule.nodes
+    rays = np.arange(c.r)
+    ray_sum = np.sum(f.on_ray(rays, t) * np.conj(g.on_ray(rays, t)), axis=0)
+    return complex(np.sum(T ** a * rule.weights * t * ray_sum))
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_pairing_matches_quadrature_and_mpmath(r):
-    ip = WeightedInnerProduct(a=2.3, r=r, min_decay_scale=0.7)
     c = CyclicStructure(r)
     for f, g in _pairing_operands(r):
         got = pairing(f, g, 2.3)
-        assert abs(got - inner_product(f, g, ip, c)) <= 1e-13 * abs(got)
+        assert abs(got - _jacobi_product(f, g, 2.3, c)) <= 1e-13 * abs(got)
         assert abs(got - _mp_pairing(f, g, 2.3)) <= 1e-13 * abs(got)
 
 

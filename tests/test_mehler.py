@@ -78,6 +78,22 @@ def test_beta_lemma_generic_and_sqrt_pi():
     assert rep.residual < 1e-12
 
 
+def test_beta_lemma_sees_a_rule_with_two_weights_swapped(monkeypatch):
+    # the rule integrates the non-constant Q(u)^(y-1), so moving mass between
+    # nodes shows; a sum of the weights alone could not see it
+    real = mehler.gauss_jacobi_rule
+
+    def swapped(p, q, n):
+        rule = real(p, q, n)
+        w = rule.weights.copy()
+        w[[10, 11]] = w[[11, 10]]
+        return QuadratureRule(rule.nodes, w, rule.kind)
+
+    assert beta_lemma_check(1.3, 0.7, 3).passed
+    monkeypatch.setattr(mehler, "gauss_jacobi_rule", swapped)
+    assert not beta_lemma_check(1.3, 0.7, 3).passed
+
+
 def test_mehler_weight_normalization():
     # integrating 1 against the normalized weight returns j_mu(0) = 1
     for mu in [

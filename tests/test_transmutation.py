@@ -5,9 +5,7 @@ import rdunkl as rd
 import rdunkl.transmutation as transmutation
 from rdunkl._errors import ParameterError
 from rdunkl.hilbert import (
-    WeightedInnerProduct,
     RayMap,
-    inner_product,
     inner_product_plain,
     ray_lincomb,
     ray_poly,
@@ -19,6 +17,7 @@ from rdunkl.operators import v_terms
 from rdunkl.riemann_liouville import apply_R_quadrature, l_coefficient
 from rdunkl.series import CyclicStructure, LaurentSeries, exp_series, monomial
 from rdunkl.special import IndexVector
+from rdunkl.transforms import _auto_Tmax
 from rdunkl.transmutation import (
     build_V,
     build_V_star,
@@ -245,13 +244,13 @@ def test_v_star_adjoint_pairing_r2():
     a = 2 * alpha + 1.0
     mu = rd.IndexVector(2, (0.0, alpha))
     c = CyclicStructure(2)
-    ip = WeightedInnerProduct(a=a, r=2)
+    Tmax = _auto_Tmax(2, 2.0, 0.0)
     f = ray_poly(c, [0.3, 1.0, 0.4])
     g = ray_poly(c, [1.0, -0.5, 0.0, 0.2])
     Vf = build_V_ray(mu, 48)(f)
     Vsg = build_V_star(mu, a, 48)(g)
-    lhs = inner_product(Vf, g, ip, c)
-    rhs = inner_product_plain(f, Vsg, a, ip.Tmax, 400, c)
+    lhs = inner_product_plain(Vf, g, a, Tmax, 400, c)
+    rhs = inner_product_plain(f, Vsg, a, Tmax, 400, c)
     assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) < 1e-7
 
 
@@ -260,13 +259,13 @@ def test_v_star_adjoint_pairing_r3():
     a = 3 * v
     mu = EX9
     c = CyclicStructure(3)
-    ip = WeightedInnerProduct(a=a, r=3)
+    Tmax = _auto_Tmax(3, 2.0, 0.0)
     f = ray_poly(c, [0.5, 1.0, 0.0, 0.3])
     g = ray_poly(c, [1.0, 0.0, -0.4])
     Vf = build_V_ray(mu, 48)(f)
     Vsg = build_V_star(mu, a, 48)(g)
-    lhs = inner_product(Vf, g, ip, c)
-    rhs = inner_product_plain(f, Vsg, a, ip.Tmax, 400, c)
+    lhs = inner_product_plain(Vf, g, a, Tmax, 400, c)
+    rhs = inner_product_plain(f, Vsg, a, Tmax, 400, c)
     assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) < 1e-7
 
 

@@ -101,3 +101,25 @@ def test_suite_transmutation_builds_one_V(r, degree, monkeypatch):
     reports = verify.suite_transmutation(r, 0, 48, degree)
     assert builds == [max(degree, 80) if r == 3 else degree]
     assert len(reports) == {2: 6, 3: 7, 4: 4, 5: 4}[r]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_suite_rl_builds_its_jacobi_rules_at_the_suite_nodes(r, monkeypatch):
+    # both sides of rl.adjoint_pairing use one Legendre rule, so the only
+    # Jacobi rules are the R_alpha and R* rules at the suite's node count
+    import sys
+
+    import rdunkl.quadrature as quadrature
+    import rdunkl.verify as verify
+
+    real, seen = quadrature._jacobi_reference, []
+
+    def recording(p, q, n):
+        seen.append(n)
+        return real(p, q, n)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("rdunkl")]:
+        if getattr(mod, "_jacobi_reference", None) is real:
+            monkeypatch.setattr(mod, "_jacobi_reference", recording)
+    verify.suite_rl(r, 0, 48, 60)
+    assert seen and set(seen) == {48}
