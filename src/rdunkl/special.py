@@ -33,6 +33,16 @@ def _gamma_sign(x: float) -> float:
     return 1.0 if x > 0 or math.floor(x) % 2 == 0 else -1.0
 
 
+def _nonpositive_integers(x: np.ndarray) -> np.ndarray:
+    """``_is_nonpositive_integer`` at every entry of x."""
+    return (x <= _NEG_INT_TOL) & (np.abs(x - np.round(x)) < _NEG_INT_TOL)
+
+
+def _gamma_signs(x: np.ndarray) -> np.ndarray:
+    """``_gamma_sign`` at every entry of x."""
+    return np.where((x > 0) | (np.floor(x) % 2 == 0), 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class IndexVector:
     """The index vector mu: order r and reals alpha_0..alpha_{r-1}.

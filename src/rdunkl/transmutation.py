@@ -30,7 +30,7 @@ from .reports import (
     VerificationReport,
     make_report,
 )
-from .riemann_liouville import apply_R_adjoint, l_coefficient
+from .riemann_liouville import apply_R_adjoint, l_coefficient, l_coefficients
 from .series import (
     CyclicStructure,
     LaurentSeries,
@@ -124,10 +124,11 @@ def fractional_mean_chain(weight: MehlerWeight, degrees) -> np.ndarray:
     l_(m + r - i - 1) at order beta_i = alpha_i + i/r, the grade-0 diagonal
     of V before the normalization c_mu."""
     mu, r = weight.mu, weight.mu.r
+    degrees = np.asarray(degrees)
     out = np.ones(len(degrees))
     for i in weight.included:
         beta = mu.alphas[i] + i / r
-        out *= [l_coefficient(int(m) + r - i - 1, beta, r) for m in degrees]
+        out *= l_coefficients(degrees + (r - i - 1), beta, r)
     return out
 
 

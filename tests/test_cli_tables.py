@@ -303,13 +303,13 @@ def test_power_negative_control_without_off_grade_degree_is_not_applicable(capsy
 
 def test_chain_factors_computed_once_per_degree(monkeypatch):
     calls = []
-    real = transmutation.l_coefficient
+    real = transmutation.l_coefficients
 
-    def counting(n, alpha, r):
-        calls.append((n, alpha))
-        return real(n, alpha, r)
+    def counting(degrees, alpha, r):
+        calls.extend((int(n), alpha) for n in degrees)
+        return real(degrees, alpha, r)
 
-    monkeypatch.setattr(transmutation, "l_coefficient", counting)
+    monkeypatch.setattr(transmutation, "l_coefficients", counting)
     mu = IndexVector(4, (0.0, 0.75, 0.5, 0.25))
     N = 60
     transmutation.build_V(mu, N)
@@ -322,13 +322,13 @@ def test_product_factorization_reads_the_transmutation_chain(monkeypatch):
     # the grade-0 diagonal of V and the left side of the product factorization
     # are the same chain of fractional means, computed in one place
     calls = []
-    real = transmutation.l_coefficient
+    real = transmutation.l_coefficients
 
-    def counting(n, alpha, r):
-        calls.append((n, alpha))
-        return real(n, alpha, r)
+    def counting(degrees, alpha, r):
+        calls.extend((int(n), alpha) for n in degrees)
+        return real(degrees, alpha, r)
 
-    monkeypatch.setattr(transmutation, "l_coefficient", counting)
+    monkeypatch.setattr(transmutation, "l_coefficients", counting)
     mu = IndexVector(3, (0.0, 0.5666666666666667, -0.6666666666666666))
     assert product_factorization_check(mu, 30).passed
     assert calls

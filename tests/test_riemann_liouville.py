@@ -8,7 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 import rdunkl as rd
-from rdunkl._errors import ConvergenceWarning, DomainError, ParameterError, SingularError
+from rdunkl._errors import (ConvergenceWarning, DomainError, ParameterError, PoleError,
+                            SingularError)
 from rdunkl.riemann_liouville import (
     apply_R_adjoint,
     apply_R_inverse_derivative_form,
@@ -17,6 +18,7 @@ from rdunkl.riemann_liouville import (
     apply_R_series,
     composition_law_check,
     l_coefficient,
+    l_coefficients,
     product_factorization_check,
 )
 from rdunkl.quadrature import gauss_jacobi_rule
@@ -34,6 +36,30 @@ def test_l_coefficient_quadrature_cross_check():
     got = l_coefficient(1, 0.5, 3)
     want, _ = quad(lambda t: t * (1 - t ** 3) ** (-0.5), 0, 1, epsabs=1e-14)
     assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_l_coefficients_equal_the_scalar_factor_bit_for_bit(r):
+    # random orders, orders k/r where Gamma(alpha + (n+1)/r) has poles at
+    # negative degrees, and orders near 0; degrees -30..200 off the poles
+    # of Gamma((n+1)/r)
+    rng = np.random.default_rng(r)
+    alphas = np.concatenate((rng.uniform(0.0, 6.0, 40), np.arange(1, 9) / r,
+                             rng.uniform(0.0, 1e-3, 5)))
+    n = np.arange(-30, 201)
+    n = n[~((n < 0) & ((n + 1) % r == 0))]
+    for alpha in alphas.tolist():
+        got = l_coefficients(n, alpha, r)
+        assert np.array_equal(got, [l_coefficient(int(k), alpha, r) for k in n])
+
+
+def test_l_coefficients_refuse_what_the_scalar_factor_refuses():
+    with pytest.raises(ParameterError):
+        l_coefficients(np.arange(3), 0.0, 2)
+    with pytest.raises(PoleError):
+        l_coefficient(-3, 0.5, 2)
+    with pytest.raises(PoleError):
+        l_coefficients(np.array([0, -3, 2]), 0.5, 2)
 
 
 def test_apply_R_series_and_principal_rejection():
