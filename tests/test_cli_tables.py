@@ -232,12 +232,12 @@ VERIFY_GOLDEN = [
     ("hilbert", "3", "e6929bc0421e08351ad7f7ff694ea58bf84e1f3abbacb7113e487648cdeb9f34"),
     ("hilbert", "4", "290ee40b6615c78e2e9ada61661904912993bb8bbf809ad52880558153c262f8"),
     ("hilbert", "5", "b7c98824f642b36ef8aafbf2bdc6160088ea9aef6d71732edafe3c416d37e4d3"),
-    ("rl", "2", "fffdeab33acb999873b422688004f76e5d2606164c43b4364def48f8a5ac9639"),
-    ("rl", "3", "14ffd44388cad2493ed8917f60c022b0c3434181a15c9ee242c43c30b1f30438"),
-    ("rl", "4", "0ddb677ce8001da6634edf3ebfc494bbcb9d4dc946ce845556ed126f0e90e24a"),
-    ("rl", "5", "d00fb8f5a18309ca7f7e5133c9affc6be78d31093c31ea813b10fcd362cac315"),
-    ("transform", "2", "c3fcff47c93f8e96ba153e8d935fc0ac5cc97749890068cf4bfe163dc090c2ef"),
-    ("transform", "3", "3b97832263deafb832bd721f7ff33ca6ebd5443b6e70efa0fb689bb390165725"),
+    ("rl", "2", "d8ae4d3517cbe13e8826eb2ef118c05bca5812c8d6bbe7419593f8b04ce6d4a0"),
+    ("rl", "3", "a22d07c54a87b2616014ae4242014e45d2f1bdc145f4b5927a2fd4df7d160979"),
+    ("rl", "4", "49aee7e2a6a9231a63660bc41ccfb890c31f5fac6dfd50f11e5fb35207aa65ac"),
+    ("rl", "5", "f01a4ad9edd32fda746bf4b721a926f92c150f0521a9b709ee20a11d19ccd901"),
+    ("transform", "2", "d16699d3c25f92317f791e603e2328b99c155fcba37f607911f0c33b6fe7bc80"),
+    ("transform", "3", "3260448dd4498074e4df78de5892a63f0d5adbb563b205d2fd802ffdac2308c5"),
     ("eigen", "2", "5447662a5f5c9d55cf9ea82d2738705267d3581a2520c4daa782ada2f163ef55"),
     ("eigen", "3", "c9296fe9c64d333fa347018c44f62c3a7ae874bd16d240a6262be710f1169817"),
     ("eigen", "4", "97432cb392faa21efb26ce97066240b42dfabcb350337cc46cc41ca530ac9a95"),

@@ -38,3 +38,15 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     code = "import sys, rdunkl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_cold_verify_leaves_numpy_polynomial_unloaded():
+    # Gauss-Legendre rules come from the recurrence; numpy's leggauss is a
+    # test oracle, so a fresh verify run never loads numpy.polynomial
+    code = ("import sys, contextlib, io\n"
+            "from rdunkl.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', 'all', '--r', '2', '--seed', '0'])\n"
+            "print(code, 'numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "0 False\n"

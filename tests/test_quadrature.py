@@ -1,10 +1,12 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from rdunkl._errors import ParameterError
-from rdunkl.quadrature import (_golub_welsch, _jacobi_reference, gauss_jacobi_rule,
-                               gauss_legendre_rule)
+from rdunkl.quadrature import (_golub_welsch, _jacobi_reference, _legendre_reference,
+                               gauss_jacobi_rule, gauss_legendre_rule)
 
 JACOBI_KEYS = [(0.0, 0.0, 1), (0.0, 0.5, 16), (-0.4, 1.7, 48), (2.3, -0.9, 200)]
 LEGENDRE_CASES = [(1, 0.0, 1.0), (12, -1.0, 1.0), (48, 2.0, 8.0), (400, 0.0, 60.0)]
@@ -58,10 +60,72 @@ def test_jacobi_rule_against_mpmath(p, q, n):
 
 @pytest.mark.parametrize("n,a,b", LEGENDRE_CASES)
 def test_legendre_rule_equals_uncached_formula(n, a, b):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_reference.__wrapped__(n)
     rule = gauss_legendre_rule(n, a, b)
     assert np.array_equal(rule.nodes, 0.5 * (b - a) * (x + 1.0) + a)
     assert np.array_equal(rule.weights, 0.5 * (b - a) * w)
+
+
+def _mp_legendre_node(n, x0):
+    """The node of P_n next to the double x0 and its weight, by Newton's
+    method on the recurrence at the working precision."""
+    def p_and_derivative(x):
+        p0, p1 = mp.mpf(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    x = mp.mpf(x0)
+    for _ in range(6):
+        p, dp = p_and_derivative(x)
+        x -= p / dp
+    _, dp = p_and_derivative(x)
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 48, 200, 600, 1000])
+def test_legendre_rule_against_mpmath(n):
+    x, w = _legendre_reference.__wrapped__(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 4e-15
+    # every node up to 48, else the five at each end and the middle one
+    idx = range(n) if n <= 48 else sorted({*range(5), n // 2, *range(n - 5, n)})
+    weight_tol = 5e-12 if n <= 600 else 5e-11
+    with mp.workdps(40):
+        for i in idx:
+            xt, wt = _mp_legendre_node(n, x[i])
+            assert abs(x[i] - xt) <= 2e-16
+            assert abs((w[i] - wt) / wt) <= weight_tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 31, 48, 60])
+def test_legendre_rule_integrates_monomials_exactly(n):
+    x, w = _legendre_reference.__wrapped__(n)
+    for k in range(2 * n):
+        assert abs(np.sum(w * x ** k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 48, 200, 240, 300, 400, 600])
+def test_legendre_rule_agrees_with_the_companion_eigensolver(n):
+    x, w = _legendre_reference.__wrapped__(n)
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - xs)) <= 1e-15
+    assert np.max(np.abs(w / ws - 1.0)) <= 1e-9
+
+
+def test_large_legendre_rule_needs_no_dense_matrix():
+    # verify transform --nodes 1000 asks for a 5000-node rule; a companion
+    # eigensolver would allocate 200 MB for it
+    tracemalloc.start()
+    try:
+        x, w = _legendre_reference.__wrapped__(5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert np.all(np.diff(x) > 0.0) and abs(np.sum(w) - 2.0) <= 1e-13
 
 
 def test_legendre_rows_match_scalar_intervals():
