@@ -30,6 +30,7 @@ from ._errors import ParameterError
 from .quadrature import (_RULE_CACHE_SIZE, _frozen, _golub_welsch, _jacobi_reference,
                          gauss_jacobi_rule)
 from .reports import VerificationReport, make_report
+from .riemann_liouville import _Q
 from .special import IndexVector, cos_r_value, gamma_ratio
 from .operators import v_terms
 
@@ -192,10 +193,7 @@ def beta_lemma_check(x: float, y: float, r: int, n_nodes: int = 48) -> Verificat
     if x <= 0 or y <= 0:
         raise ParameterError("the beta integral needs x, y > 0")
     rule = gauss_jacobi_rule(y - 1.0, r * x - 1.0, n_nodes)
-    Q = np.ones_like(rule.nodes)
-    for _ in range(r - 1):  # Horner
-        Q = 1.0 + Q * rule.nodes
-    mean = float(np.sum(rule.weights * Q ** (y - 1.0)) / np.sum(rule.weights))
+    mean = float(np.sum(rule.weights * _Q(rule.nodes, r) ** (y - 1.0)) / np.sum(rule.weights))
     got = r * gamma_ratio([y, r * x], [y + r * x]) * mean
     want = gamma_ratio([x, y], [x + y])
     return make_report(

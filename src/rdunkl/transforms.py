@@ -131,8 +131,8 @@ def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
     """
     if abs(mu.alphas[0]) > 1e-12:
         raise ParameterError("the transform kernel needs alpha_0 = 0")
-    c = mu.cyclic
-    Tmax = _kernel_Tmax(c, getattr(g, "decay_scale", 1.0), abs(lam))
+    c, growth = mu.cyclic, abs(lam) * max(np.cos(np.pi / mu.r), 0.2)  # of the kernel on the rays
+    Tmax = _auto_Tmax(c.r, getattr(g, "decay_scale", 1.0), growth)
     zmax = abs(lam) * Tmax
     ker = dunkl_kernel_series(mu, 1.0, kernel_series_degree(c.r, zmax))
     if zmax > 1.0 and kernel_log_peak(ker, zmax) > np.log(1e12):
@@ -147,12 +147,6 @@ def dunkl_transform_F(mu: IndexVector, a: float, g, lam: complex,
     return _ray_integral(g, kern, a, Tmax, n_nodes, c)
 
 
-def _kernel_Tmax(c: CyclicStructure, decay: float, lam_abs: float) -> float:
-    """Ray cutoff of the transform at |lam|: the kernel grows at most like
-    exp(cos(pi/r) |lam| t) along the rays."""
-    return _auto_Tmax(c.r, decay, lam_abs * max(np.cos(np.pi / c.r), 0.2))
-
-
 def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
     """r-Dunkl transform of g = sum_d c_d x^d exp(-s x^r) on a lam grid, by
     the exact moment series
@@ -162,78 +156,86 @@ def moment_transform(mu: IndexVector, a: float, g: RayTestFunction, lams):
 
     where e_n are the coefficients of E_mu and tau the twist of g: the
     bilinear form of ``hilbert.pairing``'s Gamma moments.
-    The series is built once, at the degree dunkl_transform_F uses for
-    max |lam|, and summed by one Horner pass over the grid that stops at
-    the degree n* where the rest of the series, at max |lam|, falls to
-    2^-60 of its largest term (``_kept_degree``).
+    ``_moment_series`` sizes the series at rho, the largest finite |lam|
+    (1 if that is 0), and one Horner pass over the grid sums its terms
+    b_n = coef_n rho^n in x = lam / rho up to the degree n* it picks.
 
-    Returns ``(values, error)``: ``error = 100 u sum_{n <= n*} |coef_n|
-    |lam|^n`` (u the double epsilon) estimates the rounding error of each
-    value, plus the dropped tail, which bounds the dropped part at every
-    |lam| <= max |lam|.  The estimate is inf or NaN where the magnitudes
-    overflow.  A non-finite lam gets a non-finite value and does not enter
-    the truncation degree.
+    Returns ``(values, error)``: ``error = 100 u sum_{n <= n*} |b_n| |x|^n``
+    (u the double epsilon) estimates the rounding error of each value, plus
+    the bound of the tail past n* at rho, which bounds it at every
+    |lam| <= rho.  A non-finite lam gets a NaN value and does not enter rho.
     """
     lams = np.asarray(lams, dtype=complex)
-    lam_abs = float(np.max(np.abs(lams), initial=0.0, where=np.isfinite(lams)))
-    coef = _moment_coefficients(mu, a, g, lam_abs)
-    coef_mag = np.abs(coef)
-    top, tail = _kept_degree(coef_mag, lam_abs)
-    lam_mag = np.abs(lams)
-    vals = np.zeros_like(lams)
-    mags = np.zeros(lams.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(top, -1, -1):
-            np.multiply(vals, lams, out=vals)
-            np.multiply(mags, lam_mag, out=mags)
-            if coef[k] != 0:  # adding an exact zero changes at most a zero's sign
-                vals += coef[k]
-                mags += coef_mag[k]
+    finite = np.isfinite(lams)
+    rho = float(np.max(np.abs(lams), initial=0.0, where=finite)) or 1.0
+    b, top, tail = _moment_series(mu, a, g, rho)
+    x = np.where(finite, lams, 0.0) / rho
+    b_mag, x_mag = np.abs(b), np.abs(x)
+    vals, mags = np.zeros_like(x), np.zeros(x.shape)
+    for k in range(top, -1, -1):
+        np.multiply(vals, x, out=vals)
+        np.multiply(mags, x_mag, out=mags)
+        if b[k] != 0:  # adding an exact zero changes at most a zero's sign
+            vals += b[k]
+            mags += b_mag[k]
+    vals[~finite] = np.nan
     return vals, 100.0 * np.finfo(float).eps * mags + tail
 
 
-def _moment_coefficients(mu: IndexVector, a: float, g: RayTestFunction,
-                         lam_abs: float) -> np.ndarray:
-    """The coefficients coef_n of ``moment_transform``'s series for
-    n = 0..N, N the kernel degree dunkl_transform_F uses at |lam| = lam_abs."""
+#: the moment series stops where the rest of it is this fraction of its largest term
+_TAIL_FRACTION = 2.0 ** -60
+
+
+def _log_kernel_coefficients(mu: IndexVector, N: int, rho: float) -> tuple:
+    """``(log(|e_n| rho^n), e_n / |e_n|)``, n = 0..N, for the coefficients
+    e_n = theta^n / (f_1 ... f_n), f_i = i + a_{(-i) mod r}, of E_mu with
+    alpha_0 = 0, by one cumulative sum of log(rho / |f_i|): no underflow."""
+    r, n = mu.r, np.arange(N + 1)
+    f = n + np.asarray(mu.a)[-n % r]
+    f[0] = rho  # e_0 = 1
+    theta_n = np.exp(1j * np.pi / r * np.arange(r))  # theta^(n + r) = -theta^n
+    return (-np.cumsum(np.log(np.abs(f)) - np.log(rho)),
+            np.cumprod(np.sign(f)) * np.concatenate([theta_n, -theta_n])[n % (2 * r)])
+
+
+def _moment_series(mu: IndexVector, a: float, g: RayTestFunction, rho: float) -> tuple:
+    """``(b, n*, tail)``: b_n = coef_n rho^n, n <= N, built in logs; the first
+    n* with sum_{m > n*} |b_m| <= ``_TAIL_FRACTION`` max |b_n|; and a bound of
+    that sum.  Past N each residue class mod r goes on by the ratio
+    rho^r (d+n+a+1) / (r s f_{n+1} ... f_{n+r}), decreasing once 0 < f_i <=
+    r (d+i+a), so its value q at N - r + 1 bounds the unbuilt degrees by
+    q/(1-q) times the last r built ones.  N doubles from max(64, 2r), at most
+    seven times, until that bound is within the fraction."""
     if abs(mu.alphas[0]) > 1e-12:
         raise ParameterError("the transform kernel needs alpha_0 = 0")
     if a < 0:
         raise ParameterError("the weight exponent must satisfy a >= 0")
-    c, r, s = mu.cyclic, mu.r, g.decay_scale
-    ker = dunkl_kernel_series(mu, 1.0, kernel_series_degree(
-        r, lam_abs * _kernel_Tmax(c, s, lam_abs)))
-    e = ker.coeffs[-ker.n_min:]  # e_0..e_N
-    n = np.arange(len(e))
-    gc, d = g.poly.coeffs, g.poly.degrees
-    # |e_n| Gamma(p) s^(-p) in logs: Gamma overflows where e_n underflows
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_mag = _gamma_moments(d, gc, n, e, d[:, None] + n + g.twist, a, r, s,
-                                 np.log(np.abs(e)))
-        coef = np.exp(1j * np.angle(e)) * (gc @ np.exp(log_mag))
-    if not np.all(np.isfinite(coef)):
-        raise ParameterError(f"the Gamma moments of the transform overflow at the "
-                             f"weight exponent a = {a:g}")
-    return coef
-
-
-#: the moment series stops where the rest of it, at max |lam|, is at most
-#: this fraction of its largest term
-_TAIL_FRACTION = 2.0 ** -60
-
-
-def _kept_degree(coef_mag: np.ndarray, lam_abs: float) -> tuple:
-    """``(n*, tail)`` for the terms t_n = |coef_n| lam_abs^n: n* is the first
-    degree whose tail sum_{m > n*} t_m is at most ``_TAIL_FRACTION`` of
-    max t_n, and tail is that sum.  A NaN or inf among the t_n keeps every
-    degree, with a zero tail."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = coef_mag * lam_abs ** np.arange(len(coef_mag))
-    if not np.all(np.isfinite(t)):
-        return len(t) - 1, 0.0
-    tails = np.append(np.cumsum(t[::-1])[::-1][1:], 0.0)  # sum_{m > n} t_m
-    top = int(np.argmax(tails <= _TAIL_FRACTION * np.max(t)))
-    return top, float(tails[top])
+    r, s, gc, d = mu.r, g.decay_scale, g.poly.coeffs, g.poly.degrees
+    if not np.all(np.isfinite(gc)):
+        raise ParameterError("the coefficients of the input must be finite")
+    if not np.any(gc):
+        return np.zeros(1), 0, 0.0
+    for N in max(64, 2 * r) * 2 ** np.arange(8):
+        log_e, phase = _log_kernel_coefficients(mu, N + r, rho)
+        n = np.arange(N + 1)
+        log_t = _gamma_moments(d, gc, n, phase[n], d[:, None] + n + g.twist, a, r, s, log_e[n])
+        peak = np.max(log_t)
+        if peak == np.inf:  # an overflowing log-Gamma
+            raise ParameterError(f"the Gamma moments of the transform overflow at the "
+                                 f"weight exponent a = {a:g}")
+        t = np.abs(gc) @ np.exp(log_t - peak)  # |b_n| <= e^peak t_n
+        if peak + np.log(np.sum(t)) > 700.0:
+            break
+        n0 = N - r + 1
+        q = np.exp(min(np.log((d[-1] + n0 + a + 1.0) / (r * s)) + log_e[n0 + r] - log_e[n0], 0.0))
+        unbuilt = np.sum(t[n0:]) * q / (1.0 - q) if q < 0.5 else np.inf
+        if n0 + 1 + min(mu.a) > 0 and n0 + 1 + max(mu.a) <= r * (d[0] + n0 + a + 1) \
+                and unbuilt <= _TAIL_FRACTION * np.max(t):
+            tails = np.append(np.cumsum(t[::-1])[::-1][1:], 0.0) + unbuilt  # sum_{m > n} t_m
+            top = int(np.argmax(tails <= _TAIL_FRACTION * np.max(t)))
+            return phase[n] * (gc @ np.exp(log_t)), top, float(np.exp(peak) * tails[top])
+    raise SeriesOverflowError(f"the moment series at |lambda| = {rho:g} cannot be summed "
+                              f"in double precision")
 
 
 def factorization_residual(mu: IndexVector, a: float, g: RayTestFunction,

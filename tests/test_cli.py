@@ -389,6 +389,10 @@ def test_dropped_flags_exit_2(args, capsys):
      "alpha_1 must be finite, got inf"),
     (("eval", "j", "--r", "2", "--alpha", "0,inf", "--x-grid", "0:1:3"),
      "alpha_1 must be finite, got inf"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--input", "poly:1,inf", "--lambda-grid", "0:1:3"),
+     "the coefficients of the input must be finite"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--a", "2", "--lambda-grid", "0,60"),
+     "the moment series at |lambda| = 60 cannot be summed in double precision"),
 ])
 def test_non_finite_or_overflowing_parameters_are_refused(args, reason, capsys):
     # the parameter is named, not a grid point, and no numpy warning comes first

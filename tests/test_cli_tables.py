@@ -206,13 +206,13 @@ GOLDEN = [
      "ce7d70582d8dbb7fb5055d2479d82bf4aae11d5118cf5f32660e04077f8651c8"),
     (("transform", "--r", "2", "--mu", "0,0.5", "--a", "2", "--input", "poly:0,1",
       "--lambda-grid=-3:3:41"),
-     "036a92ba2cb29c0370ffa205046f0ae2bafa88bc6b040610f1a4af3b7a9e1a96"),
+     "5106084fd6b28850256da2a387e0228b2c4e96f3bbe24d6c6f77ac6553b12c8f"),
     (("transform", "--r", "4", "--mu", "0,0.5,0.5,0.5", "--a", "2", "--input", "gaussian",
       "--lambda-grid=-2.8:2.8:41"),
-     "4bb6cde7925eb0d1191ba2dafcccc64812e472a674aead168907fcffb5bc438d"),
+     "23ff7219cfe098c473c5526e4f2c9929f5c84eb7ad6b091350ac253de32c2df3"),
     (("transform", "--r", "3", "--mu", EX9, "--a", "2.7", "--input", "gaussian",
       "--lambda-grid=-3:3:41"),
-     "5c83daee1e21b2d0f582adb9ca58e759a181f69ca3814fbd1df8225fe3e7dcf7"),
+     "4eaa9d621982b5ec479260630a32eb0c2227e1025c6026aded5ba1b7b18c811e"),
 ]
 
 
@@ -236,8 +236,8 @@ VERIFY_GOLDEN = [
     ("rl", "3", "a22d07c54a87b2616014ae4242014e45d2f1bdc145f4b5927a2fd4df7d160979"),
     ("rl", "4", "49aee7e2a6a9231a63660bc41ccfb890c31f5fac6dfd50f11e5fb35207aa65ac"),
     ("rl", "5", "f01a4ad9edd32fda746bf4b721a926f92c150f0521a9b709ee20a11d19ccd901"),
-    ("transform", "2", "d16699d3c25f92317f791e603e2328b99c155fcba37f607911f0c33b6fe7bc80"),
-    ("transform", "3", "3260448dd4498074e4df78de5892a63f0d5adbb563b205d2fd802ffdac2308c5"),
+    ("transform", "2", "aef0e5e71a4d6c88fc543bc20c22c0fb542f94d8ecc6f7792808b73da349803f"),
+    ("transform", "3", "2563d9f09f3abffb9c014466dee5e0d24945c61e97528cbcec1c1bfc46f9b9a2"),
     ("eigen", "2", "5447662a5f5c9d55cf9ea82d2738705267d3581a2520c4daa782ada2f163ef55"),
     ("eigen", "3", "c9296fe9c64d333fa347018c44f62c3a7ae874bd16d240a6262be710f1169817"),
     ("eigen", "4", "97432cb392faa21efb26ce97066240b42dfabcb350337cc46cc41ca530ac9a95"),

@@ -1,4 +1,5 @@
 import inspect
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +12,8 @@ import rdunkl as rd
 from rdunkl._errors import ParameterError, SeriesOverflowError, TailWarning
 from rdunkl.hilbert import ray_poly
 from rdunkl.quadrature import gauss_legendre_rule
-from rdunkl.series import CyclicStructure, kernel_series_degree
+from rdunkl.operators import dunkl_kernel_series
+from rdunkl.series import CyclicStructure
 from rdunkl.transforms import (
     _bary_matrix,
     _bary_weights,
@@ -21,9 +23,8 @@ from rdunkl.transforms import (
     f_r_transform,
     factorization_residual,
     grade_transport_check,
-    _kept_degree,
-    _kernel_Tmax,
-    _moment_coefficients,
+    _log_kernel_coefficients,
+    _moment_series,
     laplace_theta,
     laplace_theta_inverse,
     moment_transform,
@@ -428,32 +429,39 @@ def _moment_input(r, kind):
     return replace(g, twist=2) if kind == "twisted" else g
 
 
-def _mp_moment_series(mu, a, g, lam, N):
+def _mp_moment_series(mu, a, g, lam, dps=60):
     """The moment series summed in mpmath, with the kernel coefficients from
     their closed form e_{mr-k} = theta^(-k) b_m prod_{i<k} (mr - i + a_i),
-    b_m the coefficients of j_mu in x^r."""
+    b_m the coefficients of j_mu in x^r.  The sum sizes itself: it stops
+    once 4r consecutive degrees past the largest term each add less than
+    1e-40 of it (the terms then fall faster than geometrically)."""
     r = mu.r
-    with mpmath.workdps(60):
+    with mpmath.workdps(dps):
         theta = mpmath.exp(1j * mpmath.pi / r)
         a_k = [r * mpmath.mpf(al) + k for k, al in enumerate(mu.alphas)]
         b = [mpmath.mpf(1)]
-        for m in range(N // r + 1):
-            den = mpmath.mpf(r) ** r
-            for al in mu.alphas:
-                den *= mpmath.mpf(al) + 1 + m
-            b.append(-b[-1] / den)
         s, lam, total = mpmath.mpf(g.decay_scale), mpmath.mpc(lam), mpmath.mpc(0)
-        for i, cd in enumerate(g.poly.coeffs):
-            d = g.poly.n_min + i
-            for n in range(N + 1):
-                if cd == 0 or (d + n) % r:
-                    continue
-                m = -(-n // r)
-                e_n = b[m] * theta ** (n - m * r)
-                for j in range(m * r - n):
-                    e_n *= m * r - j + a_k[j]
-                p = (d + n + mpmath.mpf(a) + 1) / r
-                total += mpmath.mpc(cd) * e_n * lam ** n * mpmath.gamma(p) * s ** (-p)
+        peak, quiet, n = mpmath.mpf(0), 0, 0
+        while quiet < 4 * r:
+            m = -(-n // r)
+            while len(b) <= m:
+                den = mpmath.mpf(r) ** r
+                for al in mu.alphas:
+                    den *= mpmath.mpf(al) + len(b)
+                b.append(-b[-1] / den)
+            e_n = b[m] * theta ** (n - m * r)
+            for j in range(m * r - n):
+                e_n *= m * r - j + a_k[j]
+            term = mpmath.mpc(0)
+            for i, cd in enumerate(g.poly.coeffs):
+                d = g.poly.n_min + i
+                if cd != 0 and (d + n + g.twist) % r == 0:
+                    p = (d + n + mpmath.mpf(a) + 1) / r
+                    term += mpmath.mpc(cd) * e_n * lam ** n * mpmath.gamma(p) * s ** (-p)
+            total += term
+            peak = max(peak, abs(term))
+            quiet = quiet + 1 if n > 2 * r and abs(term) < mpmath.mpf(10) ** -40 * peak else 0
+            n += 1
         return complex(total)
 
 
@@ -478,8 +486,7 @@ def test_moment_transform_beyond_the_quadrature_range(r, kind, lam):
     with pytest.raises(SeriesOverflowError):
         dunkl_transform_F(mu, 2.0, g, lam)
     got, err = moment_transform(mu, 2.0, g, [lam])
-    N = kernel_series_degree(r, lam * _kernel_Tmax(c, g.decay_scale, lam))
-    want = _mp_moment_series(mu, 2.0, g, lam, N + 4 * r)
+    want = _mp_moment_series(mu, 2.0, g, lam)
     assert np.isfinite(err[0]) and abs(got[0] - want) <= err[0]
 
 
@@ -490,10 +497,9 @@ def test_moment_transform_overflow_regime_is_certified_or_refused(r, kind):
     g = ray_poly(c, [0.0, 1.0]) if kind == "poly" else ray_poly(c, [1.0], decay_scale=0.5)
     lams = np.linspace(11.0, 12.0, 5)
     got, err = moment_transform(mu, 2.0, g, lams)
-    N = kernel_series_degree(r, 12.0 * _kernel_Tmax(c, g.decay_scale, 12.0))
     certified = np.isfinite(got) & (err <= 1e-10 * (1.0 + np.abs(got)))
     for lam, v, e in zip(lams[certified], got[certified], err[certified]):
-        assert abs(v - _mp_moment_series(mu, 2.0, g, lam, N)) <= e
+        assert abs(v - _mp_moment_series(mu, 2.0, g, lam)) <= e
     assert certified.any() == (r == 4)  # r = 4 certifies lam = 11, r = 2 refuses all
 
 
@@ -511,13 +517,13 @@ def test_moment_transform_rejects_bad_parameters():
 
 # -- where the moment series stops --------------------------------------------
 
-def _untruncated_horner(coef, lams):
-    """Reference: Horner over every degree of the moment series, with the
-    magnitudes sum_n |coef_n| |lam|^n of the same pass."""
-    vals, mags = np.zeros_like(lams), np.zeros(lams.shape)
-    for k in range(len(coef) - 1, -1, -1):
-        vals = vals * lams + coef[k]
-        mags = mags * np.abs(lams) + np.abs(coef[k])
+def _untruncated_horner(b, x):
+    """Reference: Horner in x = lam / rho over every built degree of the
+    moment series, with the magnitudes sum_n |b_n| |x|^n of the same pass."""
+    vals, mags = np.zeros_like(x), np.zeros(x.shape)
+    for k in range(len(b) - 1, -1, -1):
+        vals = vals * x + b[k]
+        mags = mags * np.abs(x) + np.abs(b[k])
     return vals, mags
 
 
@@ -542,45 +548,52 @@ QUADRATURE_GRID_CASES = [
 
 
 def _truncation(alphas, a, g, lams):
-    """(values, error) of moment_transform, the series coefficients, n*, and
-    the grid as a complex array."""
+    """(values, error) of moment_transform, the built coefficients b_n of the
+    series in x = lam / rho, n*, and the grid in x."""
     mu = rd.IndexVector(len(alphas), alphas)
     lams = np.asarray(lams, dtype=complex)
-    lam_abs = float(np.max(np.abs(lams)))
-    coef = _moment_coefficients(mu, a, g, lam_abs)
-    top, _ = _kept_degree(np.abs(coef), lam_abs)
-    assert top < len(coef) - 1  # the sum does stop early here
-    return *moment_transform(mu, a, g, lams), coef, top, lams
+    rho = float(np.max(np.abs(lams)))
+    b, top, _ = _moment_series(mu, a, g, rho)
+    assert top < len(b) - 1  # the sum does stop early here
+    return *moment_transform(mu, a, g, lams), b, top, lams / rho
 
 
 @pytest.mark.parametrize("alphas, a, g, lams", WORKLOAD_CASES)
 def test_benchmark_grids_equal_the_untruncated_horner_bit_for_bit(alphas, a, g, lams):
-    got, _, coef, _, lams = _truncation(alphas, a, g, lams)
-    want, _ = _untruncated_horner(coef, lams)
+    got, _, b, _, x = _truncation(alphas, a, g, lams)
+    want, _ = _untruncated_horner(b, x)
     assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
 
 
 @pytest.mark.parametrize("alphas, a, g, lams", WORKLOAD_CASES + QUADRATURE_GRID_CASES)
 def test_truncated_series_is_within_its_estimate_of_the_whole_sum(alphas, a, g, lams):
-    got, err, coef, top, lams = _truncation(alphas, a, g, lams)
+    got, err, b, top, x = _truncation(alphas, a, g, lams)
     # the kept degrees are summed exactly as a plain Horner pass sums them
-    kept, _ = _untruncated_horner(coef[:top + 1], lams)
+    kept, _ = _untruncated_horner(b[:top + 1], x)
     assert np.array_equal(got.real, kept.real) and np.array_equal(got.imag, kept.imag)
     # the estimate covers the dropped part and the distance to the whole sum
-    dropped = _untruncated_horner(np.where(np.arange(len(coef)) > top, coef, 0.0), lams)[1]
+    dropped = _untruncated_horner(np.where(np.arange(len(b)) > top, b, 0.0), x)[1]
     assert np.all(err >= dropped)
-    want, _ = _untruncated_horner(coef, lams)
+    want, _ = _untruncated_horner(b, x)
     assert np.all(np.abs(got - want) <= err)
 
 
-def test_kept_degree_keeps_every_degree_of_a_non_finite_list():
-    for bad in (np.inf, np.nan):
-        mags = np.array([1.0, 0.5, bad, 0.25, 0.0, 1e-30])
-        assert _kept_degree(mags, 2.0) == (5, 0.0)
-    # and the first degree whose tail is small enough otherwise
-    mags = np.array([1.0, 0.5, 2.0 ** -70, 2.0 ** -80])
-    top, tail = _kept_degree(mags, 1.0)
-    assert (top, tail) == (1, 2.0 ** -70 + 2.0 ** -80)
+@pytest.mark.parametrize("alphas, a, g, lams", WORKLOAD_CASES + QUADRATURE_GRID_CASES)
+def test_tail_bound_covers_the_unbuilt_degrees(alphas, a, g, lams):
+    # sum_{n > n*} |b_n| over 600 degrees, from the same closed form, against
+    # the tail that _moment_series bounds from its N + 1 built degrees
+    mu = rd.IndexVector(len(alphas), alphas)
+    rho = float(np.max(np.abs(lams)))
+    b, top, tail = _moment_series(mu, a, g, rho)
+    log_e, _ = _log_kernel_coefficients(mu, 600, 1.0)
+    r, s, total = mu.r, g.decay_scale, 0.0
+    for n in range(top + 1, 601):
+        for cd, d in zip(g.poly.coeffs, g.poly.degrees):
+            if cd != 0 and (d + n + g.twist) % r == 0:
+                p = (d + n + a + 1.0) / r
+                total += abs(cd) * np.exp(log_e[n] + n * np.log(rho)
+                                          + math.lgamma(p) - p * np.log(s))
+    assert len(b) == 65 and total <= tail * (1.0 + 1e-12)  # one pass of 64 degrees
 
 
 @pytest.mark.parametrize("kind", ["poly:0,1", "gaussian"])
@@ -589,8 +602,99 @@ def test_grid_of_zero_returns_the_constant_coefficient(kind):
     c = CyclicStructure(2)
     g = ray_poly(c, [0.0, 1.0]) if kind == "poly:0,1" else ray_poly(c, [1.0], decay_scale=0.5)
     got, _ = moment_transform(mu, 2.0, g, [0.0])
-    assert got[0] == _moment_coefficients(mu, 2.0, g, 0.0)[0]
+    assert got[0] == _moment_series(mu, 2.0, g, 1.0)[0][0]
     if kind == "poly:0,1":
         assert got[0] == 0.0
     else:
         assert got[0] != 0.0
+
+
+def test_a_zero_input_transforms_to_zero():
+    mu = rd.IndexVector(2, MOMENT_INDICES[2])
+    got, err = moment_transform(mu, 2.0, ray_poly(CyclicStructure(2), [0.0, 0.0]), [0.0, 3.0])
+    assert np.all(got == 0.0) and np.all(err == 0.0)
+
+
+# -- the closed-form kernel coefficients --------------------------------------
+
+#: r = 2..5, the r = 3 index with a negative alpha_2 among them
+KERNEL_INDICES = [MOMENT_INDICES[2], (0.0, 0.5666666666666667, -0.6666666666666666),
+                  MOMENT_INDICES[4], MOMENT_INDICES[5]]
+
+
+@pytest.mark.parametrize("alphas", KERNEL_INDICES)
+def test_log_kernel_coefficients_equal_the_kernel_series(alphas):
+    mu = rd.IndexVector(len(alphas), alphas)
+    log_e, phase = _log_kernel_coefficients(mu, 150, 1.0)
+    ser = dunkl_kernel_series(mu, 1.0, 150)
+    e = ser.coeffs[-ser.n_min:]  # e_0 .. e_150
+    assert np.all(np.abs(log_e - np.log(np.abs(e))) <= 1e-14 * np.maximum(np.abs(log_e), 1.0))
+    assert np.all(np.abs(phase - e / np.abs(e)) <= 1e-14)
+
+
+@pytest.mark.parametrize("alphas", KERNEL_INDICES)
+def test_log_kernel_coefficients_where_the_doubles_underflow(alphas):
+    # e_200, e_400 and e_800 lie below the smallest double at every r here;
+    # a 40-digit product of the same factors gives their logs and phases
+    mu = rd.IndexVector(len(alphas), alphas)
+    r = mu.r
+    log_e, phase = _log_kernel_coefficients(mu, 800, 1.0)
+    with mpmath.workdps(40):
+        a_k = [r * mpmath.mpf(al) + k for k, al in enumerate(alphas)]
+        prod = mpmath.mpf(1)
+        for i in range(1, 801):
+            prod *= i + a_k[(-i) % r]
+            if i in (200, 400, 800):
+                want = -mpmath.log(abs(prod))
+                assert abs(log_e[i] - want) <= 1e-14 * abs(want)
+                unit = mpmath.sign(prod) * mpmath.exp(1j * mpmath.pi * i / r)
+                assert abs(phase[i] - complex(unit)) <= 1e-15
+                assert want < math.log(5e-324)
+
+
+# -- regression: values the series path got wrong ------------------------------
+
+def _cli(capsys, *argv):
+    from rdunkl.cli import main
+
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("r, mu, lam", [
+    (2, "0,0.5", 16), (2, "0,0.5", 20), (3, "0,0.5,0.25", 40)])
+def test_transform_refuses_where_the_terms_drown_the_value(capsys, r, mu, lam):
+    # exp(-x^r) against t^2: the terms peak near e^(lam^2/4) at r = 2 while
+    # the value is 1.42e-28 at lam = 16, 3.30e-44 at 20 (1.46e-3 at r = 3,
+    # lam = 40); the series used to print 1.9e24, 2.7e41 and 1.5e37 there
+    code, out, err = _cli(capsys, "transform", "--r", str(r), "--mu", mu, "--a", "2",
+                          "--input", "poly:1", f"--lambda-grid={lam}:{lam}:1")
+    assert (code, out) == (2, "")
+    assert f"lambda={lam}:" in err and "rounding estimate" in err
+
+
+@pytest.mark.parametrize("r, alphas, want", [
+    (2, (0.0, 0.5), 1.623181e-2), (3, (0.0, 0.5, 0.25), 1.702141e-1)])
+def test_transform_at_lambda_4_matches_an_mpmath_sum(capsys, r, alphas, want):
+    code, out, _ = _cli(capsys, "transform", "--r", str(r), "--mu",
+                        ",".join(map(str, alphas)), "--a", "2", "--input", "poly:1",
+                        "--lambda-grid=4:4:1")
+    assert code == 0
+    lam, re, im = (float(v) for v in out.splitlines()[1].split(","))
+    got = complex(re, im)
+    exact = _mp_moment_series(rd.IndexVector(r, alphas), 2.0,
+                              ray_poly(CyclicStructure(r), [1.0]), 4.0)
+    assert lam == 4.0 and abs(exact - want) <= 1e-6 * want
+    assert abs(got - exact) <= 1e-12 * (1.0 + abs(exact))
+
+
+def test_estimate_bounds_the_error_at_lambda_12():
+    # r = 2, x exp(-x^2), a = 2: the terms reach e^36 over a value of 1.2e-15;
+    # the error against mpmath is far above the printed tolerance (so the
+    # CLI refuses) but within the estimate
+    mu = rd.IndexVector(2, MOMENT_INDICES[2])
+    g = ray_poly(CyclicStructure(2), [0.0, 1.0])
+    got, err = moment_transform(mu, 2.0, g, [12.0])
+    exact = _mp_moment_series(mu, 2.0, g, 12.0, dps=80)
+    assert abs(got[0] - exact) <= err[0] and err[0] > 1e-10 * (1.0 + abs(got[0]))
