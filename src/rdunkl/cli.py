@@ -70,15 +70,20 @@ def _parse_alphas(text: str, r: int | None):
 
 
 def _parse_grid(text: str):
-    # "start:stop:num" or a comma list
+    # "start:stop:num" or a comma list; a count num <= 0 gives no points
+    try:
+        if ":" in text:
+            start, stop, num = text.split(":")
+            start, stop, num = float(start), float(stop), int(num)
+        else:
+            grid = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise ParameterError(f"grid {text!r} is neither start:stop:num with a whole "
+                             "number num nor a comma list of numbers") from None
     if ":" in text:
-        start, stop, num = text.split(":")
-        start, stop = float(start), float(stop)
         if not (np.isfinite(start) and np.isfinite(stop)):
             raise ParameterError(f"grid {text!r} needs a finite start and stop")
-        grid = np.linspace(start, stop, int(num))
-    else:
-        grid = np.array([float(x) for x in text.split(",")])
+        grid = np.linspace(start, stop, max(num, 0))
     if grid.size < 1:
         raise ParameterError(f"grid {text!r} has no points")
     return grid

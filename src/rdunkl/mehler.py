@@ -133,10 +133,10 @@ def mehler_j(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
 
 def _kernel_coeffs(mu: IndexVector, x: complex) -> np.ndarray:
     """c_0..c_{r-1} of the grouped kernel integrand sum_m c_m u^m S_m: the
-    chain terms (P_j^(k)/theta^j) x^(-j) u^(k-j) collected by m = k - j,
-    including the k = 0 term, and divided by r from the group average."""
+    terms (P_j^(k)/theta^j) x^(-j) u^(k-j) of ``v_terms``, the grade-0 term
+    (0, 0, 1) among them, collected by m = k - j and divided by r from the
+    group average."""
     coef = np.zeros(mu.r, dtype=complex)
-    coef[0] = 1.0
     for k, j, pj in v_terms(mu):
         coef[k - j] += pj * complex(x) ** (-j)
     return coef / mu.r
@@ -148,11 +148,10 @@ def mehler_E(mu: IndexVector, x: complex, n_nodes_per_dim: int = 48) -> complex:
     The integrand expands the lowering chains through the falling powers of
     the derivative:
 
-        T_0 e(x u) + sum_{k=1}^{r-1} sum_{j=0}^{k} (P_j^(k)/theta^j)
-                     T_k[ x^(-j) u^(k-j) e(x u) ],
+        sum_{k=0}^{r-1} sum_{j=0}^{k} (P_j^(k)/theta^j) T_k[ x^(-j) u^(k-j) e(x u) ],
 
-    with e(y) = exp(theta y) and each T_k realized by the r-point average
-    over rotated arguments.  Since T_k[x^(-j) g](x) = (1/r) sum_n
+    with P^(0) = (1), e(y) = exp(theta y) and each T_k realized by the
+    r-point average over rotated arguments.  Since T_k[x^(-j) g](x) = (1/r) sum_n
     omega^(n(k-j)) x^(-j) g(omega^n x), the terms group by m = k - j into
 
         sum_{m=0}^{r-1} c_m u^m S_m,   S_m = sum_n omega^(nm) e(omega^n x u),

@@ -21,8 +21,11 @@ import numpy as np
 from ._errors import DomainError, ParameterError
 from .series import (
     LaurentSeries,
+    add,
     guarded_evaluate,
+    project_T,
     scale_argument,
+    series_residual,
     shifted,
 )
 from .special import IndexVector, bessel_j_series, index_shift
@@ -114,8 +117,6 @@ def bessel_eigen_residuals(mu: IndexVector, lam: complex, N: int) -> tuple[float
     (zero when some alpha_k = 0 and the equation is a genuine eigen-identity
     on the whole Laurent range).
     """
-    from .series import series_residual
-
     r = mu.r
     j = scale_argument(bessel_j_series(mu, N), lam)
     dj = apply_Delta(mu, j)
@@ -135,8 +136,6 @@ def case_recurrence_check(mu: IndexVector, N: int) -> VerificationReport:
     alpha_0 != 0:  D j_mu = (r alpha_0 / x) j_{mu-1}
     alpha_0 == 0:  D j_mu = -(x/r)^(r-1) j_{mu+1} / prod_{k>=1}(alpha_k + 1)
     """
-    from .series import series_residual
-
     r = mu.r
     lhs = apply_D(mu, bessel_j_series(mu, N))
     if abs(mu.alphas[0]) > 1e-12:
@@ -166,12 +165,11 @@ def chain_expansion_coeffs(a_prefix) -> list[float]:
 
     The chain multiplies x^m by G(m) = prod_j (m - j + a_j), and matching
     G against falling factorials at m = 0..k gives a triangular system with
-    diagonal s!, solved exactly by forward substitution.
+    diagonal s!, solved exactly by forward substitution.  The empty chain
+    (k = 0) is the identity, P = [1.0].
     """
     a = [float(v) for v in a_prefix]
     k = len(a)
-    if k < 1:
-        raise ParameterError("need at least one chain coefficient")
 
     def G(m):
         out = 1.0
@@ -190,15 +188,16 @@ def chain_expansion_coeffs(a_prefix) -> list[float]:
 
 
 def v_terms(mu: IndexVector) -> list[tuple[int, int, complex]]:
-    """The correction terms (k, j, P_j^(k)/theta^j) of the transmutation
-    operator V for k = 1..r-1 and j = 0..k, with P^(k) the expansion
-    coefficients of the length-k lowering chain L_{a_{k-1}} o ... o L_{a_0};
-    terms with P_j^(k) = 0 are skipped.  The same list gives the Mehler form
-    of the kernel E_mu.  A list, not a generator, so callers may read it
-    more than once."""
+    """Every term (k, j, P_j^(k)/theta^j) of the transmutation operator V for
+    k = 0..r-1 and j = 0..k, with P^(k) the expansion coefficients of the
+    length-k lowering chain L_{a_{k-1}} o ... o L_{a_0}; terms with
+    P_j^(k) = 0 are skipped.  The first term is the grade-0 projector term
+    (0, 0, 1): the empty chain has P^(0) = (1).  The same list gives the
+    Mehler form of the kernel E_mu.  A list, not a generator, so callers may
+    read it more than once."""
     theta = mu.cyclic.theta
     terms = []
-    for k in range(1, mu.r):
+    for k in range(mu.r):
         P = chain_expansion_coeffs(mu.a[:k])
         for j in range(k + 1):
             if P[j] != 0.0:
@@ -238,8 +237,6 @@ def power_identity_residual(mu: IndexVector, n):
     arithmetic of its own one-term series and the residuals agree with the
     per-degree calls bit for bit.
     """
-    from .series import add, project_T
-
     ns = np.atleast_1d(n)
     if ns.ndim != 1 or ns.size == 0 or len(set(ns.tolist())) != ns.size:
         raise ParameterError("degrees must be one integer or a 1-d array of distinct ones")

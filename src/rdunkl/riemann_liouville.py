@@ -26,8 +26,9 @@ import numpy as np
 from ._errors import ConvergenceWarning, DomainError, ParameterError, PoleError, SingularError
 from .quadrature import gauss_jacobi_rule, gauss_legendre_rule
 from .reports import VerificationReport, make_report
-from .series import LaurentSeries, shifted
-from .special import IndexVector, _gamma_signs, _nonpositive_integers, gamma_ratio
+from .series import LaurentSeries, series_residual, shifted
+from .special import (IndexVector, _gamma_signs, _nonpositive_integers, bessel_j_series,
+                      cos_r_series, gamma_ratio)
 
 
 def l_coefficient(n: int, alpha: float, r: int) -> float:
@@ -251,8 +252,6 @@ def product_factorization_check(mu: IndexVector, N: int, case: str = "") -> Veri
     A nonempty ``case`` names how mu was drawn and suffixes the check id.
     """
     from .mehler import MehlerWeight
-    from .series import series_residual
-    from .special import bessel_j_series, cos_r_series
     from .transmutation import fractional_mean_chain
 
     r = mu.r

@@ -36,9 +36,10 @@ from .series import CyclicStructure, evaluate, kernel_log_peak, kernel_series_de
 from .special import IndexVector
 from .hilbert import (RayMap, RayTestFunction, _gamma_moments, _per_ray, _ray_integral,
                       ray_dunkl)
+from .mehler import MehlerWeight
 from .operators import dunkl_kernel_series
 from .riemann_liouville import apply_R_adjoint
-from .transmutation import build_V_star
+from .transmutation import _kernel_map_exact, build_V_star
 
 
 def laplace_theta(g, lam: complex, Tmax: float = 60.0, n_nodes: int = 400, *,
@@ -247,8 +248,6 @@ def factorization_residual(mu: IndexVector, a: float, g: RayTestFunction,
     asserted for the classical r = 2 family and measured otherwise (the
     correction terms of V do not rescale with lam for r >= 3).
     """
-    from .transmutation import _kernel_map_exact
-
     lhs = complex(moment_transform(mu, a, g, [lam])[0][0])
     vtg = build_V_star(mu, a, n_nodes=48, conjugate=False)(g)
 
@@ -349,8 +348,6 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
     # (V^T g)(t) = c_norm * R*[g](t)          for even g (grade 0),
     #            = c_norm * t * R*[g(s)/s](t) for odd  g (grade 1),
     # where R* carries weight (tau^2-1)^(beta-1) tau^(a-1-2(beta-1)).
-    from .mehler import MehlerWeight
-
     c_norm = MehlerWeight(mu).c_norm
     if grade_k % 2 == 1:
         target = w_vals / (c_norm * grid)
@@ -358,7 +355,7 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
         target = w_vals / c_norm
 
     h = _solve_ray_volterra(target, grid, beta, a, 2, grid_max, 48)
-    val = _cheb_interp(grid, h, np.array([x]))[0]
+    val = (_bary_matrix(grid, np.array([x], dtype=float)) @ h)[0]
     if grade_k % 2 == 1:
         val = val * x
     return complex(val)
@@ -390,11 +387,6 @@ def _bary_matrix(grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
     B[on_node] = 0.0
     B[on_node, np.argmax(hit[on_node], axis=1)] = 1.0
     return B
-
-
-def _cheb_interp(grid: np.ndarray, vals: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation through the (sorted Chebyshev) grid."""
-    return _bary_matrix(grid, np.asarray(at, dtype=float)) @ np.asarray(vals)
 
 
 def _solve_ray_volterra(target: np.ndarray, grid: np.ndarray, beta: float,

@@ -1,9 +1,10 @@
 """The transmutation operator as a banded triangular degree map.
 
-V is assembled from the grade-0 term (projector times the chain of
-conjugated fractional means) plus, for each k = 1..r-1 and j = 0..k, the
-term (P_j/theta^j) T_k x^(-k) [chain] x^(k-j), where the P_j expand the
-length-k lowering chain through falling derivative powers.  Every factor is
+V is the sum over k = 0..r-1 and j = 0..k of the terms
+(P_j/theta^j) T_k x^(-k) [chain] x^(k-j), where [chain] is the chain of
+conjugated fractional means and the P_j expand the length-k lowering chain
+through falling derivative powers; the k = 0 term, with the empty chain
+P = (1), is the grade-0 projector T_0 [chain].  Every factor is
 diagonal or a shift on monomials, so V is materialized as an explicit
 matrix over degrees: the inverse is a back-substitution and the adjoint
 reuses the same term list.
@@ -40,7 +41,7 @@ from .series import (
     lincomb,
     series_residual,
 )
-from .special import IndexVector
+from .special import IndexVector, gamma_ratio
 
 
 class TransmutationMap:
@@ -63,18 +64,15 @@ class TransmutationMap:
 
         # the chain of conjugated fractional means on x^m, computed once per
         # degree: the terms below reach it only at m = n + k - j = 0 (mod r),
-        # m < N + r, so chain[m // r] holds degree m (as Python floats, for
-        # the scalar loop below)
-        chain = fractional_mean_chain(weight, range(0, N + r, r)).tolist()
+        # m < N + r, so chain[m // r] holds degree m
+        chain = fractional_mean_chain(weight, range(0, N + r, r))
 
         c_norm = weight.c_norm
-        terms = v_terms(mu)
-        for n in range(N + 1):
-            if n % r == 0:
-                M[n - self.row_min, n] += c_norm * chain[n // r]
-            for k, j, coef in terms:
-                if (n - j) % r == (-k) % r:
-                    M[n - j - self.row_min, n] += c_norm * coef * chain[(n + k - j) // r]
+        # term (k, j) sends x^n, n = j - k (mod r), to row n - j; a cell fixes
+        # j and then k mod r, so it takes at most one term
+        for k, j, coef in v_terms(mu):
+            n = np.arange((j - k) % r, N + 1, r)
+            M[n - j - self.row_min, n] += c_norm * coef * chain[(n + k - j) // r]
         self.matrix = M
         self.c_norm = c_norm
 
@@ -139,8 +137,6 @@ def build_V(mu: IndexVector, N: int) -> TransmutationMap:
 def closed_form_V_r2(alpha: float, N: int) -> np.ndarray:
     """Matrix of c_alpha [T_0 R_(alpha+1/2) + T_1 x^(-1) R_(alpha+1/2) x]
     for mu = (0, alpha), r = 2."""
-    from .special import gamma_ratio
-
     c = 2.0 * gamma_ratio([alpha + 1.0], [alpha + 0.5, 0.5])
     M = np.zeros((N + 1, N + 1), dtype=complex)
     for n in range(N + 1):
@@ -154,8 +150,6 @@ def closed_form_V_r2(alpha: float, N: int) -> np.ndarray:
 def closed_form_V_r3(v: float, N: int) -> np.ndarray:
     """Matrix of c_v [T_0 x^(-1) R_v x + T_1 x^(-2) R_v x^2 + T_2 x^(-3) R_v x^3
     + (3v/theta) T_2 x^(-3) R_v x^2] for mu = (0, v - 1/3, -2/3), r = 3."""
-    from .special import gamma_ratio
-
     theta = CyclicStructure(3).theta
     c = 3.0 * gamma_ratio([v + 2.0 / 3.0], [v, 2.0 / 3.0])
     M = np.zeros((N + 1, N + 1), dtype=complex)
@@ -340,8 +334,7 @@ def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, conjugate: bool =
         return out
 
     def apply(g) -> RayMap:
-        # k = 0 term: (T_0 CHAIN)* = CHAIN* T_0
-        out = [(1.0, chain_star(ray_projection(g, 0, c)))]
+        out = []
         for k, j, coef in terms:
             inner = chain_star(ray_power(ray_projection(g, k, c), -k, c, conjugate))
             out.append((np.conj(coef) if conjugate else coef,

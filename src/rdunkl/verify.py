@@ -34,6 +34,7 @@ from .operators import (
     dunkl_kernel_series,
     power_identity_residual,
 )
+from .quadrature import gauss_legendre_rule
 from .reports import KIND_EXCEEDS_FLOOR, KIND_MEASURED, KIND_RESIDUAL_BELOW, make_report
 from .riemann_liouville import (
     apply_R_inverse_derivative_form,
@@ -421,10 +422,7 @@ def suite_transform(r, seed, nodes, degree):
         out.append(tf.eigen_property_check(mu, a, g, 0.8))
         out.append(tf.grade_transport_check(ray_poly(c2, [0.0, 1.0]), 1, mu, a))
         godd = ray_poly(c2, [0.0, 1.0])
-        from .transmutation import build_V_star
-        from .quadrature import gauss_legendre_rule
-
-        vstar = build_V_star(mu, a, n_nodes=nodes, conjugate=False)
+        vstar = tm.build_V_star(mu, a, n_nodes=nodes, conjugate=False)
         vg = vstar(godd)
         rule = gauss_legendre_rule(300, 0.0, 7.0)
         tq, wq = rule.nodes, rule.weights

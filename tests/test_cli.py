@@ -321,6 +321,19 @@ def test_empty_grid_is_refused(args, capsys):
     assert "has no points" in err
 
 
+@pytest.mark.parametrize("args,grid,reason", [
+    (("eval", "cosr", "--r", "3", "--x-grid"), "0:1", "is neither"),
+    (("eval", "j", "--r", "2", "--x-grid"), "0:1:2.5", "is neither"),
+    (("eval", "E", "--r", "2", "--x-grid"), "0:1:-1", "has no points"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid"), "1,,2", "is neither"),
+    (("transform", "--r", "2", "--mu", "0,0.5", "--lambda-grid"), "0:1:2:3", "is neither"),
+])
+def test_malformed_grid_is_refused_by_name(args, grid, reason, capsys):
+    out = run_main(capsys, *args, grid)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(f"error: grid {grid!r} {reason}")
+
+
 @pytest.mark.parametrize("args", [
     ("eval", "j", "--r", "2", "--alpha", "0,0.5", "--x-grid=0:inf:3"),
     ("eval", "E", "--r", "2", "--alpha", "0,0.5", "--x-grid=-inf:1:3"),

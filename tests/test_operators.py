@@ -309,6 +309,8 @@ def test_case_recurrence_degenerate_matches_cosr_derivative():
 
 
 def test_chain_expansion_known_values():
+    # the empty chain is the identity
+    assert rd.chain_expansion_coeffs([]) == [1.0]
     assert rd.chain_expansion_coeffs([0.0]) == [1.0, 0.0]
     a0, a1 = 0.8, 2.3
     P = rd.chain_expansion_coeffs([a0, a1])
@@ -336,18 +338,19 @@ def test_chain_expansion_identity_on_monomials(k):
 
 
 def test_v_terms_list_and_values():
-    # mu = (0, v - 1/3, -2/3) at r = 3: a = (0, 3v, 0), so P^(1) = (1, 0) and
-    # P^(2) = (1, 3v, 0); the vanishing coefficients are skipped
+    # mu = (0, v - 1/3, -2/3) at r = 3: a = (0, 3v, 0), so P^(0) = (1),
+    # P^(1) = (1, 0) and P^(2) = (1, 3v, 0); the grade-0 term comes first and
+    # the vanishing coefficients are skipped
     v = 0.9
     mu = rd.IndexVector(3, (0.0, v - 1 / 3, -2 / 3))
     terms = v_terms(mu)
     assert isinstance(terms, list)
-    assert [(k, j) for k, j, _ in terms] == [(1, 0), (2, 0), (2, 1)]
+    assert [(k, j) for k, j, _ in terms] == [(0, 0), (1, 0), (2, 0), (2, 1)]
     theta = mu.cyclic.theta
-    assert np.allclose([coef for _, _, coef in terms], [1.0, 1.0, 3 * v / theta])
+    assert np.allclose([coef for _, _, coef in terms], [1.0, 1.0, 1.0, 3 * v / theta])
     mu4 = rd.IndexVector(4, (0.3, 0.5, 0.7, 0.9))
     theta4 = mu4.cyclic.theta
-    want = [(k, j, P / theta4 ** j) for k in range(1, 4)
+    want = [(k, j, P / theta4 ** j) for k in range(4)
             for j, P in enumerate(rd.chain_expansion_coeffs(mu4.a[:k])) if P != 0.0]
     assert v_terms(mu4) == want
 

@@ -1,8 +1,10 @@
+import ast
 import importlib
 import inspect
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import rdunkl
 
@@ -50,3 +52,28 @@ def test_cold_verify_leaves_numpy_polynomial_unloaded():
             "print(code, 'numpy.polynomial' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "0 False\n"
+
+
+#: function-level relative imports that stay: cli's per-command imports are
+#: where a command loads the modules only it needs, and mehler and
+#: transmutation import riemann_liouville, so the last two would be cycles
+KEPT_LOCAL_IMPORTS = {
+    ("cli", "cmd_convert", "dunkl_opdam"),
+    ("cli", "cmd_transform", "hilbert"),
+    ("cli", "cmd_transform", "transforms"),
+    ("riemann_liouville", "product_factorization_check", "mehler"),
+    ("riemann_liouville", "product_factorization_check", "transmutation"),
+}
+
+
+def test_no_function_level_relative_import_outside_the_kept_list():
+    paths = sorted(Path(rdunkl.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    found = set()
+    for path in paths:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.stem, fn.name, node.module)
+                          for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert sorted(found - KEPT_LOCAL_IMPORTS) == []

@@ -61,7 +61,7 @@ def build_V_ray(mu: IndexVector, n_nodes: int = 48):
         return out
 
     def apply(g) -> RayMap:
-        out = [(1.0, ray_projection(chain(g), 0, c))]
+        out = []
         for k, j, coef in terms:
             inner = ray_power(chain(ray_power(g, k - j, c)), -k, c)
             out.append((coef, ray_projection(inner, k, c)))
@@ -392,10 +392,11 @@ def _matrix_per_degree_loop(mu, N):
 ])
 def test_matrix_bit_identical_to_per_degree_loop(alphas):
     mu = rd.IndexVector(len(alphas), alphas)
-    V = build_V(mu, 30)
-    want = _matrix_per_degree_loop(mu, 30)
-    assert V.row_min == (0 if alphas[0] == 0.0 else -(mu.r - 1))
-    assert np.array_equal(V.matrix, want)
+    for N in (30, 200):
+        V = build_V(mu, N)
+        want = _matrix_per_degree_loop(mu, N)
+        assert V.row_min == (0 if alphas[0] == 0.0 else -(mu.r - 1))
+        assert np.array_equal(V.matrix, want)
 
 
 @pytest.mark.parametrize("mu", [rd.IndexVector(2, (0.0, 0.5)), EX9], ids=["r2", "r3"])
