@@ -34,7 +34,7 @@ from .quadrature import gauss_legendre_rule
 from .reports import KIND_MEASURED, VerificationReport, make_report
 from .series import CyclicStructure, evaluate, kernel_log_peak, kernel_series_degree
 from .special import IndexVector
-from .hilbert import (RayMap, RayTestFunction, _gamma_moments, _per_ray, _ray_integral,
+from .hilbert import (_AllRayMap, RayTestFunction, _gamma_moments, _per_ray, _ray_integral,
                       ray_dunkl)
 from .mehler import MehlerWeight
 from .operators import dunkl_kernel_series
@@ -252,9 +252,10 @@ def factorization_residual(mu: IndexVector, a: float, g: RayTestFunction,
     vtg = build_V_star(mu, a, n_nodes=48, conjugate=False)(g)
 
     def weighted(m, t):
-        return t ** a * vtg.on_ray(m, t)
+        # the map's fn reads every ray of m off one V* evaluation
+        return t ** a * vtg._fn(m, t)
 
-    rhs = f_r_transform(RayMap(weighted), lam, a=0.0, n_nodes=200, c=mu.cyclic)
+    rhs = f_r_transform(_AllRayMap(weighted), lam, a=0.0, n_nodes=200, c=mu.cyclic)
     scale = max(abs(lhs), abs(rhs), 1.0)
     exact = _kernel_map_exact(mu)
     return make_report(
@@ -354,8 +355,9 @@ def dunkl_transform_inverse(mu: IndexVector, a: float, Ghat, x: float,
     else:
         target = w_vals / c_norm
 
-    h = _solve_ray_volterra(target, grid, beta, a, 2, grid_max, 48)
-    val = (_bary_matrix(grid, np.array([x], dtype=float)) @ h)[0]
+    w = _bary_weights(grid)
+    h = _solve_ray_volterra(target, grid, w, beta, a, 2, grid_max, 48)
+    val = (_bary_matrix(grid, np.array([x], dtype=float), w) @ h)[0]
     if grade_k % 2 == 1:
         val = val * x
     return complex(val)
@@ -372,10 +374,9 @@ def _bary_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def _bary_matrix(grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _bary_matrix(grid: np.ndarray, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Interpolation matrix B with (B v)[i] = p_v(pts[i]) for the polynomial
-    through (grid, v)."""
-    w = _bary_weights(grid)
+    through (grid, v), from the weights w = ``_bary_weights(grid)``."""
     d = pts[:, None] - grid
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = w / d
@@ -389,10 +390,11 @@ def _bary_matrix(grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return B
 
 
-def _solve_ray_volterra(target: np.ndarray, grid: np.ndarray, beta: float,
+def _solve_ray_volterra(target: np.ndarray, grid: np.ndarray, w: np.ndarray, beta: float,
                         a: float, r: int, Tdecay: float, n_quad: int) -> np.ndarray:
     """Solve R* h = target for h sampled on the grid: collocation with
-    polynomial interpolation of h between grid points.
+    polynomial interpolation of h between grid points, from the barycentric
+    weights w = ``_bary_weights(grid)``.
 
     Rows whose base point lies beyond the decay cutoff (where the true
     solution is below roundoff) become h = 0 constraints; quadrature points
@@ -407,7 +409,7 @@ def _solve_ray_volterra(target: np.ndarray, grid: np.ndarray, beta: float,
         # Lagrange basis of the grid at pts, zero beyond the grid
         B = np.zeros((len(pts), len(grid)))
         inside = pts <= grid[-1]
-        B[inside] = _bary_matrix(grid, pts[inside])
+        B[inside] = _bary_matrix(grid, pts[inside], w)
         return B
 
     A[near] = apply_R_adjoint(beta, a, basis, grid[near], r, Tdecay, n_quad).real

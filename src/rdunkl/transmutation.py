@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._errors import DomainError, ParameterError, SingularError
-from .hilbert import RayMap, ray_lincomb, ray_power, ray_projection
+from .hilbert import RayMap
 from .mehler import MehlerWeight
 from .operators import apply_D, dunkl_kernel_series, v_terms
 from .reports import (
@@ -47,9 +47,10 @@ from .special import IndexVector, gamma_ratio
 class TransmutationMap:
     """Matrix of V over input degrees 0..N.
 
-    Rows cover output degrees row_min..N with row_min = -(r-1) when
-    alpha_0 != 0 (the correction terms then reach below degree zero) and 0
-    otherwise.  Column n holds the image of x^n.
+    Rows cover output degrees row_min..N, row_min the lowest row a term of
+    ``v_terms`` reaches: -(r-1) when alpha_0 != 0 (the correction terms then
+    reach below degree zero) and 0 when alpha_0 = 0.  Column n holds the
+    image of x^n.
     """
 
     def __init__(self, mu: IndexVector, N: int):
@@ -57,8 +58,9 @@ class TransmutationMap:
         r = mu.r
         self.mu = mu
         self.N = N
-        has_neg = abs(mu.a[0]) > 1e-12
-        self.row_min = -(r - 1) if has_neg else 0
+        terms = v_terms(mu)
+        # term (k, j) reaches down to row (j - k) % r - j from its lowest column
+        self.row_min = min(0, min((j - k) % r - j for k, j, _ in terms))
         rows = N - self.row_min + 1
         M = np.zeros((rows, N + 1), dtype=complex)
 
@@ -70,7 +72,7 @@ class TransmutationMap:
         c_norm = weight.c_norm
         # term (k, j) sends x^n, n = j - k (mod r), to row n - j; a cell fixes
         # j and then k mod r, so it takes at most one term
-        for k, j, coef in v_terms(mu):
+        for k, j, coef in terms:
             n = np.arange((j - k) % r, N + 1, r)
             M[n - j - self.row_min, n] += c_norm * coef * chain[(n + k - j) // r]
         self.matrix = M
@@ -308,9 +310,14 @@ def fourier_sum_series(coeffs: dict, period: float, N: int) -> LaurentSeries:
 
 
 def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, conjugate: bool = True):
-    """Adjoint of V for <.,.>_a as a ray evaluator.
+    """Adjoint of V for <.,.>_a as a ray evaluator: g -> a RayMap whose ray m
+    is row m of ``_v_star_rays``.
 
-    Reverses each term of V and replaces every factor by its adjoint:
+    The map is asked ray by ray, like any RayMap, and each ray evaluates V*
+    on all rays; its fn takes an array of ray indices as well, which reads
+    every ray off one evaluation.  Callers that need all rays call the fn.
+
+    Each term of V is reversed and every factor replaced by its adjoint:
     multiplications by x^p become conj(x)^p on the rays, each fractional
     mean becomes its a-weighted adjoint integral, projectors are symmetric,
     and scalar prefactors conjugate.  With conjugate=False the bilinear
@@ -318,38 +325,59 @@ def build_V_star(mu: IndexVector, a: float, n_nodes: int = 48, conjugate: bool =
     the two coincide on the real rays of r = 2.  The adjoint integrals are
     truncated at t = 8.
     """
-    weight = MehlerWeight(mu)
-    r = mu.r
-    c = mu.cyclic
-    terms = v_terms(mu)
-
-    # the chain adjoint: reversed product of conj(x)^(r-i-1) R* conj(x)^-(r-i-1)
-    def chain_star(g):
-        out = g
-        for i in reversed(weight.included):
-            beta = mu.alphas[i] + i / r
-            p = r - i - 1
-            stepped = _ray_r_star(ray_power(out, -p, c, conjugate), beta, a, r, n_nodes, 8.0)
-            out = ray_power(stepped, p, c, conjugate)
-        return out
 
     def apply(g) -> RayMap:
-        out = []
-        for k, j, coef in terms:
-            inner = chain_star(ray_power(ray_projection(g, k, c), -k, c, conjugate))
-            out.append((np.conj(coef) if conjugate else coef,
-                        ray_power(inner, k - j, c, conjugate)))
-        return ray_lincomb(out, weight.c_norm)
+        return RayMap(lambda m, t: _v_star_rays(mu, a, g, t, n_nodes, conjugate)[m])
 
     return apply
 
 
-def _ray_r_star(g, beta: float, a: float, r: int, n_nodes: int,
-                Tmax: float) -> RayMap:
-    """R*_beta applied along each ray to a ray evaluator."""
+def _v_star_rays(mu: IndexVector, a: float, g, t, n_nodes: int,
+                 conjugate: bool) -> np.ndarray:
+    """V* g (``build_V_star``) on all r rays: row m holds its values at the
+    points t of ray m.
 
-    def fn(m, t):
-        return apply_R_adjoint(beta, a, lambda w: g.on_ray(m, w), np.atleast_1d(t), r,
-                               Tmax, n_nodes)
+    On ray m, T_k g = omega^(-mk) G_k with G_k = (1/r) sum_n omega^(nk)
+    g(omega^n t) the grade column of g, and each chain factor
+    conj(x)^p R* conj(x)^(-p) (or x^p R* x^(-p)) cancels its own phase.  So
+    term (k, j) of V* is phase * t^(k-j) H_k(t) on ray m, where H_k, the
+    adjoint chain on the real line applied to t^(-k) G_k, is the same for
+    every ray, and the phase is omega^(-m(k-j)) (conjugate) or
+    omega^(-m(k+j)) (transpose).  g is evaluated once on all rays at the
+    innermost points, and each chain level is one ``apply_R_adjoint`` call
+    whose trailing axis holds the grade columns.
+    """
+    weight = MehlerWeight(mu)
+    r, c = mu.r, mu.cyclic
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    terms = v_terms(mu)
+    grades = sorted({k for k, _, _ in terms})
+    ks = np.array(grades)
+    omega = np.array([c.omega_pow(n) for n in range(r)])
+    # the chain's levels from the outermost in: (beta_i, p = r - i - 1)
+    levels = [(mu.alphas[i] + i / r, r - i - 1) for i in weight.included]
 
-    return RayMap(fn)
+    def columns(w):
+        # t^(-k) G_k(w) for each grade k, one column each
+        rows = g.on_ray(np.arange(r), w)
+        acc = np.zeros((len(w), len(grades)), dtype=complex)
+        for n in range(r):
+            acc += rows[n][:, None] * omega[ks * n % r]
+        return acc / r * w[:, None] ** -ks
+
+    def chain(w, depth=0):
+        if depth == len(levels):
+            return columns(w)
+        beta, p = levels[depth]
+        inner = apply_R_adjoint(beta, a, lambda s: s[:, None] ** -p * chain(s, depth + 1),
+                                w, r, 8.0, n_nodes)
+        return w[:, None] ** p * inner
+
+    H = chain(t)
+    rays = np.arange(r)
+    out = np.zeros((r, len(t)), dtype=complex)
+    for k, j, coef in terms:
+        phase = omega[-rays * (k - j if conjugate else k + j) % r]
+        scalar = np.conj(coef) if conjugate else coef
+        out += (scalar * phase)[:, None] * (t ** (k - j) * H[:, grades.index(k)])
+    return weight.c_norm * out

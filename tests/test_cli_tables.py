@@ -236,8 +236,8 @@ VERIFY_GOLDEN = [
     ("rl", "3", "a22d07c54a87b2616014ae4242014e45d2f1bdc145f4b5927a2fd4df7d160979"),
     ("rl", "4", "49aee7e2a6a9231a63660bc41ccfb890c31f5fac6dfd50f11e5fb35207aa65ac"),
     ("rl", "5", "f01a4ad9edd32fda746bf4b721a926f92c150f0521a9b709ee20a11d19ccd901"),
-    ("transform", "2", "aef0e5e71a4d6c88fc543bc20c22c0fb542f94d8ecc6f7792808b73da349803f"),
-    ("transform", "3", "2563d9f09f3abffb9c014466dee5e0d24945c61e97528cbcec1c1bfc46f9b9a2"),
+    ("transform", "2", "e99c5a354953ce3726b383a55ba96a510b3cdfa4de0ced9d66a9ad177ad48ddd"),
+    ("transform", "3", "0c5e089c1b5b7708fbedad3f243f952c4c841f785d42fbff2d5948718530b9f6"),
     ("eigen", "2", "5447662a5f5c9d55cf9ea82d2738705267d3581a2520c4daa782ada2f163ef55"),
     ("eigen", "3", "c9296fe9c64d333fa347018c44f62c3a7ae874bd16d240a6262be710f1169817"),
     ("eigen", "4", "97432cb392faa21efb26ce97066240b42dfabcb350337cc46cc41ca530ac9a95"),

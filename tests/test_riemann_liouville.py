@@ -281,7 +281,7 @@ def test_adjoint_rejects_nonpositive_base_point():
 def test_ray_r_star_agrees_with_adjoint_on_each_ray():
     from rdunkl.hilbert import ray_poly
     from rdunkl.series import CyclicStructure
-    from rdunkl.transmutation import _ray_r_star
+    from test_transmutation import _ray_r_star
 
     c = CyclicStructure(3)
     g = ray_poly(c, [1.0, 0.4, 0.0, -0.2])

@@ -362,9 +362,8 @@ def test_suite_transform_r2_memory_peak():
     assert peak < 12e6
 
 
-def _bary_matrix_loop(grid, pts):
+def _bary_matrix_loop(grid, pts, w):
     # the per-point loop the one-pass _bary_matrix replaced
-    w = _bary_weights(grid)
     B = np.zeros((len(pts), len(grid)))
     for i, x in enumerate(pts):
         d = x - grid
@@ -388,8 +387,9 @@ def test_bary_matrix_matches_the_point_loop_bit_for_bit():
     pts = np.concatenate([rng.uniform(0.0, grid[-1], 5000), grid[::9],
                           grid[3:4] + 5e-15, [grid[0]]])
     rng.shuffle(pts)
-    B = _bary_matrix(grid, pts)
-    assert np.array_equal(B, _bary_matrix_loop(grid, pts))
+    w = _bary_weights(grid)
+    B = _bary_matrix(grid, pts, w)
+    assert np.array_equal(B, _bary_matrix_loop(grid, pts, w))
     on_node = np.isin(pts, grid)
     assert np.all(B[on_node].max(axis=1) == 1.0) and np.all(B[on_node].sum(axis=1) == 1.0)
 
@@ -401,9 +401,10 @@ def test_ray_volterra_solve_matches_the_point_loop(monkeypatch):
 
     grid = _cheb_grid()
     target = np.exp(-grid ** 2) * (1.0 + 0.5j * grid)
-    got = tf._solve_ray_volterra(target, grid, 1.0, 2.0, 2, grid[-1], 48)
+    w = _bary_weights(grid)
+    got = tf._solve_ray_volterra(target, grid, w, 1.0, 2.0, 2, grid[-1], 48)
     monkeypatch.setattr(tf, "_bary_matrix", _bary_matrix_loop)
-    want = tf._solve_ray_volterra(target, grid, 1.0, 2.0, 2, grid[-1], 48)
+    want = tf._solve_ray_volterra(target, grid, w, 1.0, 2.0, 2, grid[-1], 48)
     assert np.array_equal(got, want)
 
 

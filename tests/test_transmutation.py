@@ -14,7 +14,7 @@ from rdunkl.hilbert import (
 )
 from rdunkl.mehler import MehlerWeight
 from rdunkl.operators import v_terms
-from rdunkl.riemann_liouville import apply_R_quadrature, l_coefficient
+from rdunkl.riemann_liouville import apply_R_adjoint, apply_R_quadrature, l_coefficient
 from rdunkl.series import CyclicStructure, LaurentSeries, exp_series, monomial
 from rdunkl.special import IndexVector
 from rdunkl.transforms import _auto_Tmax
@@ -29,7 +29,7 @@ from rdunkl.transmutation import (
     monomial_counterexample_check,
     transmutation_residual,
     v_maps_exp_to_kernel_check,
-    _ray_r_star,
+    _v_star_rays,
 )
 
 
@@ -65,6 +65,47 @@ def build_V_ray(mu: IndexVector, n_nodes: int = 48):
         for k, j, coef in terms:
             inner = ray_power(chain(ray_power(g, k - j, c)), -k, c)
             out.append((coef, ray_projection(inner, k, c)))
+        return ray_lincomb(out, weight.c_norm)
+
+    return apply
+
+
+def _ray_r_star(g, beta: float, a: float, r: int, n_nodes: int, Tmax: float) -> RayMap:
+    """R*_beta applied along each ray to a ray evaluator, one ray at a time."""
+
+    def fn(m, t):
+        return apply_R_adjoint(beta, a, lambda w: g.on_ray(m, w), np.atleast_1d(t), r,
+                               Tmax, n_nodes)
+
+    return RayMap(fn)
+
+
+def build_V_star_by_terms(mu: IndexVector, a: float, n_nodes: int = 48,
+                          conjugate: bool = True):
+    """The adjoint of V composed term by term from ray maps: every term
+    (k, j) runs its own chain of R* quadratures on each ray.  The oracle of
+    the grade-column evaluator ``_v_star_rays``."""
+    weight = MehlerWeight(mu)
+    r = mu.r
+    c = mu.cyclic
+    terms = v_terms(mu)
+
+    # the chain adjoint: reversed product of conj(x)^(r-i-1) R* conj(x)^-(r-i-1)
+    def chain_star(g):
+        out = g
+        for i in reversed(weight.included):
+            beta = mu.alphas[i] + i / r
+            p = r - i - 1
+            stepped = _ray_r_star(ray_power(out, -p, c, conjugate), beta, a, r, n_nodes, 8.0)
+            out = ray_power(stepped, p, c, conjugate)
+        return out
+
+    def apply(g) -> RayMap:
+        out = []
+        for k, j, coef in terms:
+            inner = chain_star(ray_power(ray_projection(g, k, c), -k, c, conjugate))
+            out.append((np.conj(coef) if conjugate else coef,
+                        ray_power(inner, k - j, c, conjugate)))
         return ray_lincomb(out, weight.c_norm)
 
     return apply
@@ -429,6 +470,71 @@ def test_v_star_map_rebuilt_from_its_fn_gives_the_same_values_and_calls(mu, monk
             got, n_got = counted(rebuilt, m)
             assert n_want > 0 and n_got == n_want
             assert np.array_equal(got, want)
+
+
+#: (index, nodes) of the grade-column checks: r = 2 and the r = 3 family
+#: with one included dimension, and an r = 4 index with two
+V_STAR_CASES = [
+    (rd.IndexVector(2, (0.0, 0.5)), 48),
+    (EX9, 48),
+    (rd.IndexVector(4, (0.0, 0.5, 0.25, -0.75)), 12),
+]
+
+
+@pytest.mark.parametrize("mu, n_nodes", V_STAR_CASES, ids=["r2", "r3-ex9", "r4-two-dims"])
+@pytest.mark.parametrize("conjugate", [True, False], ids=["adjoint", "transpose"])
+def test_v_star_rays_match_the_term_by_term_composition(mu, n_nodes, conjugate):
+    c = mu.cyclic
+    g = ray_poly(c, [0.4, 1.0, -0.3, 0.2, 0.5j])
+    ts = np.linspace(0.2, 2.5, 7)
+    got = _v_star_rays(mu, 2.1, g, ts, n_nodes, conjugate)
+    want = build_V_star_by_terms(mu, 2.1, n_nodes, conjugate)(g).on_ray(np.arange(mu.r), ts)
+    assert got.shape == (mu.r, len(ts))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mu, n_nodes", V_STAR_CASES, ids=["r2", "r3-ex9", "r4-two-dims"])
+def test_v_star_map_reads_its_rays_off_the_grade_columns(mu, n_nodes):
+    # build_V_star's ray m is row m of _v_star_rays, bit for bit, and its fn
+    # answers an array of rays with those rows
+    g = ray_poly(mu.cyclic, [1.0, -0.5, 0.3])
+    ts = np.linspace(0.3, 2.0, 5)
+    for conjugate in (True, False):
+        rows = _v_star_rays(mu, 1.7, g, ts, n_nodes, conjugate)
+        vstar = build_V_star(mu, 1.7, n_nodes, conjugate)(g)
+        for m in range(mu.r):
+            assert np.array_equal(vstar.on_ray(m, ts), rows[m])
+        assert np.array_equal(vstar._fn(np.arange(mu.r), ts), rows)
+
+
+@pytest.mark.parametrize("mu, n_nodes", V_STAR_CASES[:2], ids=["r2", "r3-ex9"])
+def test_v_star_rays_run_one_adjoint_quadrature_per_included_dimension(mu, n_nodes,
+                                                                        monkeypatch):
+    # every grade and every ray share one R* call for the chain's one level
+    # (a deeper level runs once per quadrature part of the level above)
+    calls = []
+    real = transmutation.apply_R_adjoint
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transmutation, "apply_R_adjoint", counting)
+    g = ray_poly(mu.cyclic, [0.4, 1.0, -0.3, 0.2])
+    _v_star_rays(mu, 2.1, g, np.linspace(0.2, 2.5, 7), n_nodes, False)
+    assert len(calls) == len(MehlerWeight(mu).included)
+
+
+def test_row_min_follows_the_terms_for_a_tiny_nonzero_alpha0():
+    # alpha_0 = 1e-13 keeps every correction term with P_j != 0, so the rows
+    # reach degree -(r - 1); no entry may wrap round to the top rows
+    mu = IndexVector(3, (1e-13, 0.5, 1.2))
+    V = build_V(mu, 20)
+    assert V.row_min == -2
+    rows, cols = np.nonzero(V.matrix)
+    deg = rows + V.row_min
+    assert np.all((cols - (mu.r - 1) <= deg) & (deg <= cols))
+    assert np.all(V.matrix[-2:, 0] == 0.0)
 
 
 @pytest.mark.parametrize("N", [60, 200])
